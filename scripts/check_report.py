@@ -4,7 +4,9 @@
 Checks a run report (report.json, schema placer3d.run_report v1-v2; v2
 adds p50/p95/p99 quantile fields to metrics histograms) and, optionally, a
 Chrome trace-event file against the same rules the C++ side enforces
-(src/obs/report.cpp: ValidateRunReport / ValidateChromeTrace).
+(src/obs/report.cpp: ValidateRunReport / ValidateChromeTrace). On top of
+those, when cell shifting reported stop reasons, the stop counters must sum
+to shift/runs and the shift/final_overflow gauge must lie in [0, 1].
 With --batch, checks a serve-engine batch report (placer3d.batch_report v1,
 src/serve/batch.cpp: ValidateBatchReport) instead: the engine counter
 block, the FEA-cache counters, and every embedded per-job run report.
@@ -22,6 +24,10 @@ import sys
 
 PHASE_NUM_KEYS = ("wl_m", "ilv_cost_m", "thermal_cost_m", "total_m",
                   "ilv", "commits", "t_s")
+# Cell shifting counts every run under exactly one stop reason
+# (src/place/shift.cpp).
+SHIFT_STOP_COUNTERS = ("shift/stop_target", "shift/stop_flat",
+                       "shift/stop_cap")
 
 
 def fail(msg):
@@ -74,7 +80,24 @@ def check_report(doc):
                             or isinstance(hist.get(key), bool):
                         fail(f"metrics.histograms[{name!r}].{key} missing "
                              f"or not a number (required in v2)")
+        check_shift_metrics(metrics)
     return len(phases)
+
+
+def check_shift_metrics(metrics):
+    counters = metrics["counters"]
+    runs = counters.get("shift/runs")
+    # Reports written before the stop reasons existed carry none of them.
+    if runs is None or not any(k in counters for k in SHIFT_STOP_COUNTERS):
+        return
+    stops = sum(counters.get(k, 0) for k in SHIFT_STOP_COUNTERS)
+    if stops != runs:
+        fail(f"shift stop counters sum to {stops}, shift/runs is {runs}")
+    overflow = metrics["gauges"].get("shift/final_overflow")
+    if not isinstance(overflow, (int, float)) or isinstance(overflow, bool) \
+            or not 0.0 <= overflow <= 1.0:
+        fail(f"gauge shift/final_overflow is {overflow!r}, "
+             f"want a number in [0, 1]")
 
 
 def check_batch(doc, min_phases):

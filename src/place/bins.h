@@ -1,6 +1,7 @@
-// Coarse 3D density mesh shared by cell shifting and the move/swap
-// optimizer (paper Section 4: "bins equal to two cell widths, two cell
-// heights, and one layer thickness"), plus the window tiling the parallel
+// Coarse 3D density mesh of the coarse-legalization engines (paper Section 4:
+// "bins equal to two cell widths, two cell heights, and one layer
+// thickness"; the move/swap optimizer uses that default, cell shifting uses
+// 4 x 4-cell bins, DESIGN.md §4), plus the window tiling the parallel
 // coarse-legalization schedule runs over (DESIGN.md §5).
 #pragma once
 

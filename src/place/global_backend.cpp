@@ -3,7 +3,6 @@
 #include <string>
 
 #include "place/global.h"
-#include "place/global_analytic.h"
 #include "place/objective.h"
 
 namespace p3d::place {
@@ -12,18 +11,15 @@ const char* GlobalBackendName(GlobalBackend kind) {
   switch (kind) {
     case GlobalBackend::kBisection:
       return "bisection";
-    case GlobalBackend::kAnalytic:
-      return "analytic";
   }
   return "unknown";
 }
 
 util::StatusOr<GlobalBackend> ParseGlobalBackend(std::string_view name) {
   if (name == "bisection") return GlobalBackend::kBisection;
-  if (name == "analytic") return GlobalBackend::kAnalytic;
   return util::InvalidArgumentError("unknown global-placement backend '" +
                                     std::string(name) +
-                                    "' (valid: bisection, analytic)");
+                                    "' (valid: bisection)");
 }
 
 util::StatusOr<std::unique_ptr<GlobalPlacerBackend>> MakeGlobalPlacerBackend(
@@ -32,9 +28,6 @@ util::StatusOr<std::unique_ptr<GlobalPlacerBackend>> MakeGlobalPlacerBackend(
     case GlobalBackend::kBisection:
       return std::unique_ptr<GlobalPlacerBackend>(
           std::make_unique<GlobalPlacer>(eval));
-    case GlobalBackend::kAnalytic:
-      return std::unique_ptr<GlobalPlacerBackend>(
-          std::make_unique<AnalyticPlacer>(eval));
   }
   return util::InvalidArgumentError(
       "MakeGlobalPlacerBackend: out-of-range GlobalBackend value " +

@@ -1,22 +1,15 @@
-// GlobalPlacerBackend — the engine-agnostic interface of the global-placement
-// phase.
+// GlobalPlacerBackend — the interface of the global-placement phase.
 //
-// Placer3D::Run drives whichever backend PlacerParams::global_backend selects
-// through this interface; the backends are
-//   * GlobalPlacer (place/global.h): 3D recursive bisection, the paper's
-//     Section 3 engine;
-//   * AnalyticPlacer (place/global_analytic.h): quadratic-wirelength B2B
-//     analytical placement with 3D density spreading (ePlace-3D style).
-// Both honor the library-wide determinism contract: same seed + same inputs
-// produce a byte-identical placement at ANY thread count (DESIGN.md §5), so a
-// backend is a pure function of (netlist, chip, params, initial).
+// Placer3D::Run drives the backend PlacerParams::global_backend selects
+// through this interface. The one backend is GlobalPlacer (place/global.h),
+// 3D recursive bisection, the paper's Section 3 engine. It honors the
+// library-wide determinism contract: same seed + same inputs produce a
+// byte-identical placement at ANY thread count (DESIGN.md §5), so a backend
+// is a pure function of (netlist, chip, params, initial).
 //
-// GlobalPlaceStats is the backend-agnostic phase summary handed to
-// PhaseObserver::OnPhase at the "global" boundary. The shared core (backend
-// name, iteration count, cells placed) is meaningful for every engine; the
-// per-backend detail payloads carry what only one engine can report
-// (partition feasibility, CG iteration counts). Exactly the payload matching
-// `backend` is populated.
+// GlobalPlaceStats is the phase summary handed to PhaseObserver::OnPhase at
+// the "global" boundary: a shared core (backend name, iteration count, cells
+// placed) plus the bisection detail payload.
 #pragma once
 
 #include <memory>
@@ -38,40 +31,13 @@ struct BisectionDetail {
   long long partitioned_cells = 0;
 };
 
-/// Detail payload of the analytic backend.
-struct AnalyticDetail {
-  int iterations = 0;         // outer B2B/density iterations run
-  int solves = 0;             // per-axis CG solves across all iterations
-  long long cg_iters = 0;     // CG iterations across those solves
-  double final_overflow = 0.0;  // max bin density / target at exit
-};
-
-/// Backend-agnostic global-placement statistics with per-backend detail.
+/// Global-placement statistics with the backend's detail payload.
 struct GlobalPlaceStats {
   const char* backend = "";    // GlobalBackendName of the engine that ran
-  int iterations = 0;          // bisection levels / analytic outer iterations
+  int iterations = 0;          // bisection levels
   long long cells_placed = 0;  // movable cells the backend positioned
 
-  BisectionDetail bisection;   // populated when backend == "bisection"
-  AnalyticDetail analytic;     // populated when backend == "analytic"
-
-  // Pre-multi-backend field adapters, kept one release so out-of-tree
-  // PhaseObserver implementations migrate without a flag day. In-tree code
-  // reads the detail payloads directly.
-  [[deprecated("use stats.bisection.levels")]] int levels() const {
-    return bisection.levels;
-  }
-  [[deprecated("use stats.bisection.partitions")]] int partitions() const {
-    return bisection.partitions;
-  }
-  [[deprecated("use stats.bisection.infeasible_partitions")]] int
-  infeasible_partitions() const {
-    return bisection.infeasible_partitions;
-  }
-  [[deprecated("use stats.bisection.partitioned_cells")]] long long
-  partitioned_cells() const {
-    return bisection.partitioned_cells;
-  }
+  BisectionDetail bisection;
 };
 
 /// One global-placement engine. Stateless across Run calls except for stats()
@@ -82,7 +48,7 @@ class GlobalPlacerBackend {
  public:
   virtual ~GlobalPlacerBackend() = default;
 
-  /// The backend's registry name ("bisection", "analytic").
+  /// The backend's registry name ("bisection").
   virtual const char* name() const = 0;
 
   /// Runs global placement. `initial` provides positions for fixed cells
@@ -95,7 +61,7 @@ class GlobalPlacerBackend {
   virtual const GlobalPlaceStats& stats() const = 0;
 };
 
-/// Returns "bisection" / "analytic".
+/// Returns "bisection".
 const char* GlobalBackendName(GlobalBackend kind);
 
 /// Parses a backend name as spelled by --global-backend / the jobs manifest.

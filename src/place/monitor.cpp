@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string_view>
 
 #include "obs/metrics.h"
 #include "obs/ring.h"
@@ -16,6 +17,12 @@ namespace {
 std::int64_t CounterOrZero(const char* name) {
   const obs::MetricsRegistry* m = obs::CurrentMetrics();
   return m != nullptr ? m->Counter(name) : 0;
+}
+
+/// Phases whose placement overlaps (global, coarse); every later boundary
+/// of Placer3D::Run sees a legal placement.
+bool IsOverlappingPhase(std::string_view phase) {
+  return phase == "global" || phase == "coarse";
 }
 
 }  // namespace
@@ -39,36 +46,38 @@ void AnomalyMonitor::OnPhase(const char* phase, int round,
                              const ObjectiveEvaluator& eval,
                              const GlobalPlaceStats* /*global_stats*/) {
   const double total = eval.Total();
-  totals_.push_back(total);
+  std::vector<double>& totals = totals_[phase];
+  totals.push_back(total);
 
-  // Divergence: the objective climbed well above the best value seen. Only
-  // meaningful once a baseline exists, and only for a finite, positive one.
+  // Divergence: the objective climbed well above the best legal value seen.
+  // Only meaningful once a baseline exists, and only for a finite, positive
+  // one. Overlapping placements never set the baseline (see monitor.h).
   if (has_best_ && best_total_ > 0.0 &&
       total > options_.divergence_factor * best_total_) {
     Flag("divergence", "anomaly/divergence", phase, round,
          total / best_total_);
   }
-  if (!has_best_ || total < best_total_) {
+  if (!IsOverlappingPhase(phase) && (!has_best_ || total < best_total_)) {
     best_total_ = total;
     has_best_ = true;
   }
 
-  // Oscillation: direction alternated across the whole window and the swing
-  // is a meaningful fraction of the mean level.
+  // Oscillation: this phase kind's total alternated direction across the
+  // whole window and the swing is a meaningful fraction of the mean level.
   const int w = options_.oscillation_window;
-  if (w >= 3 && static_cast<int>(totals_.size()) >= w) {
-    const std::size_t n = totals_.size();
+  if (w >= 3 && static_cast<int>(totals.size()) >= w) {
+    const std::size_t n = totals.size();
     bool alternating = true;
-    double lo = totals_[n - static_cast<std::size_t>(w)];
+    double lo = totals[n - static_cast<std::size_t>(w)];
     double hi = lo;
     double mean = 0.0;
     int prev_sign = 0;
     for (std::size_t i = n - static_cast<std::size_t>(w); i < n; ++i) {
-      lo = std::min(lo, totals_[i]);
-      hi = std::max(hi, totals_[i]);
-      mean += totals_[i];
+      lo = std::min(lo, totals[i]);
+      hi = std::max(hi, totals[i]);
+      mean += totals[i];
       if (i > n - static_cast<std::size_t>(w)) {
-        const double d = totals_[i] - totals_[i - 1];
+        const double d = totals[i] - totals[i - 1];
         const int sign = d > 0.0 ? 1 : (d < 0.0 ? -1 : 0);
         if (sign == 0 || sign == prev_sign) alternating = false;
         prev_sign = sign;

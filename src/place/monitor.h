@@ -7,11 +7,19 @@
 // the final QoR shows it:
 //
 //   * divergence   — the Eq. 3 total rose more than `divergence_factor`
-//                    above the best value seen so far;
-//   * oscillation  — the total alternated direction across the last
-//                    `oscillation_window` samples with relative amplitude
-//                    above `oscillation_rel_amplitude` (a classic sign of a
-//                    mistuned alpha or a legalize/refine tug-of-war);
+//                    above the best *legal* total seen so far. The baseline
+//                    starts at the first legal phase ("detailed"): global
+//                    and coarse placements overlap, and legalization always
+//                    raises the objective over them by 1.3-1.4x, which is
+//                    not divergence;
+//   * oscillation  — the total at one phase kind (e.g. "detailed") alternated
+//                    direction across its last `oscillation_window` rounds
+//                    with relative amplitude above
+//                    `oscillation_rel_amplitude` (a classic sign of a
+//                    mistuned alpha or a legalize/refine tug-of-war). Each
+//                    phase kind has its own history: consecutive boundaries
+//                    of one round alternate between overlapping and legal
+//                    placements by design;
 //   * cg_blowup    — the CG iterations spent since the previous boundary
 //                    exceeded `cg_blowup_factor` times the trailing mean
 //                    (thermal solve struggling to converge);
@@ -30,6 +38,7 @@
 // the full list is kept for the run/batch reports.
 #pragma once
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -74,8 +83,9 @@ class AnomalyMonitor : public PhaseObserver {
 
   AnomalyOptions options_;
   std::vector<Anomaly> anomalies_;
-  std::vector<double> totals_;        // objective history, one per boundary
-  double best_total_ = 0.0;           // best (lowest) total seen
+  // Objective history per phase kind, one sample per boundary of that kind.
+  std::map<std::string, std::vector<double>> totals_;
+  double best_total_ = 0.0;           // best (lowest) legal total seen
   bool has_best_ = false;
   std::int64_t last_cg_iters_ = 0;    // counter values at the last boundary
   std::int64_t last_proposals_ = 0;

@@ -70,11 +70,9 @@ inline constexpr bool BeatsIncumbent(double delta, double incumbent) {
 }
 
 /// Which engine runs the global-placement phase. Backends are constructed by
-/// MakeGlobalPlacerBackend (place/global_backend.h); both honor the same
-/// determinism contract (byte-identical placements at any thread count).
+/// MakeGlobalPlacerBackend (place/global_backend.h).
 enum class GlobalBackend {
   kBisection,  // 3D recursive bisection (paper Section 3)
-  kAnalytic,   // quadratic B2B analytical placement + 3D density spreading
 };
 
 struct PlacerParams {
@@ -103,18 +101,6 @@ struct PlacerParams {
   int region_stop_cells = 4;   // recursion stops below this many cells
   double min_partition_tolerance = 0.03;
   std::uint64_t seed = 12345;
-
-  // ----- analytic global backend (GlobalBackend::kAnalytic) -----------------
-  // Outer iterations: each re-linearizes the B2B net models, refreshes the
-  // per-layer density spreading targets, and solves one quadratic system per
-  // axis (x, y, and z for multi-layer dies) with the src/linalg CG.
-  int analytic_iterations = 40;
-  int analytic_cg_max_iters = 150;      // per-axis CG iteration cap
-  // Density-anchor schedule: anchor weight starts at `base` (relative to the
-  // mean wirelength-matrix diagonal) and multiplies by `growth` each
-  // iteration, trading wirelength for spreading as ePlace's penalty ramp does.
-  double analytic_anchor_base = 0.02;
-  double analytic_anchor_growth = 1.12;
 
   // ----- parallel runtime ----------------------------------------------------
   // Worker threads for multi-start partitioning, per-level bisection

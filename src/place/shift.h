@@ -1,11 +1,13 @@
 // Cell shifting (paper Section 4.1) — the spreading engine of coarse
 // legalization.
 //
-// A uniform density mesh covers the chip (bins = 2 cell widths x 2 cell
-// heights x 1 layer). Per iteration and per direction, every row of bins is
-// re-spaced: bin widths are remapped through the piecewise curve of Eq. 16
-// (expansion for density > 1, contraction for density < 1) and cells are
-// mapped into the new bin extents with Eq. 17.
+// A uniform density mesh covers the chip (bins = 4 cell widths x 4 cell
+// heights x 1 layer; the paper uses 2 x 2, see DESIGN.md §4). Per iteration
+// and per direction, every row of bins is re-spaced: bin widths are remapped
+// through the piecewise curve of Eq. 16 (expansion for density > 1,
+// contraction for density < 1) and cells are mapped into the new bin extents
+// with Eq. 17. Iterations stop at the target max density, or earlier once
+// the total overflow ratio stops falling by at least 10% per iteration.
 //
 // The two FastPlace [13] defects the paper fixes are handled the same way:
 //   * boundary cross-over: all boundaries in a row are recomputed together
@@ -33,17 +35,29 @@
 
 namespace p3d::place {
 
+/// Why CellShifter::Run stopped.
+enum class ShiftStop {
+  kTarget,  // max bin density reached the target
+  kFlat,    // one iteration cut the total overflow ratio by less than 10%
+  kCap,     // max_iters iterations ran
+};
+
 struct ShiftStats {
   int iterations = 0;
   double final_max_density = 0.0;
+  /// Total overflow ratio at exit: sum of max(0, area - capacity) over all
+  /// shift bins, divided by the total cell area.
+  double final_overflow = 0.0;
+  ShiftStop stop = ShiftStop::kCap;
 };
 
 class CellShifter {
  public:
   explicit CellShifter(ObjectiveEvaluator& eval);
 
-  /// Iterates x/y/z shifting sweeps until the max bin density drops below
-  /// `target_density` or `max_iters` is reached. Mutates the evaluator's
+  /// Iterates z/x/y shifting sweeps until the max bin density drops to
+  /// `target_density`, an iteration cuts the total overflow ratio by less
+  /// than 10%, or `max_iters` iterations have run. Mutates the evaluator's
   /// placement.
   ShiftStats Run(int max_iters, double target_density);
 

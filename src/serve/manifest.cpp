@@ -116,8 +116,9 @@ util::StatusOr<JobsManifest> ParseJobsManifest(const std::string& text) {
       if (!v->is_string()) return FieldTypeError(i, "global_backend", "string");
       const auto backend = place::ParseGlobalBackend(v->AsString());
       if (!backend.ok()) {
-        return util::ParseError("jobs manifest: job " + std::to_string(i) +
-                                ": " + backend.status().message());
+        return util::InvalidArgumentError("jobs manifest: job " +
+                                          std::to_string(i) + ": " +
+                                          backend.status().message());
       }
       spec.params.global_backend = *backend;
     }

@@ -17,8 +17,8 @@
 // Per-job fields (each falls back to `defaults`, then to the built-in
 // default): circuit, scale, layers, alpha_ilv, alpha_temp, seed, priority,
 // threads, with_fea, fea_per_phase, fea_per_pass, start_deadline_s,
-// global_backend ("bisection" | "analytic", default bisection; unknown names
-// are a manifest error), and fea_precond ("jacobi" | "ic0" | "multigrid",
+// global_backend ("bisection", the default; any other name is a manifest
+// error), and fea_precond ("jacobi" | "ic0" | "multigrid",
 // default ic0 — multigrid is the one that makes fea_per_pass affordable).
 //
 // Determinism: a job without an explicit "seed" gets

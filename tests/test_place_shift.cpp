@@ -285,5 +285,31 @@ TEST(CellShifter, StopsEarlyWhenTargetReached) {
   EXPECT_EQ(stats.iterations, 0);  // target trivially met before any sweep
 }
 
+TEST(CellShifter, StopsWhenOverflowFlattens) {
+  // A clustered start on one layer: the 2 x 2-cell-bin shifter never got
+  // its max bin density down to the 1.05 target and ran to its 40-iteration
+  // cap here. The flat-overflow rule stops once an iteration cuts the total
+  // overflow ratio by less than 10%, short of the target.
+  Fixture f(1200);
+  ObjectiveEvaluator eval(f.nl, f.chip, f.params);
+  util::Rng rng(19);
+  Placement p;
+  p.Resize(static_cast<std::size_t>(f.nl.NumCells()));
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    p.x[i] = rng.NextDouble(0.0, f.chip.width() / 3);
+    p.y[i] = rng.NextDouble(0.0, f.chip.height() / 3);
+    p.layer[i] = 0;
+  }
+  eval.SetPlacement(p);
+  CellShifter shifter(eval);
+  const ShiftStats stats = shifter.Run(40, 1.05);
+  EXPECT_EQ(stats.stop, ShiftStop::kFlat);
+  EXPECT_GT(stats.iterations, 0);
+  EXPECT_LT(stats.iterations, 40);
+  EXPECT_GT(stats.final_max_density, 1.05);
+  EXPECT_GT(stats.final_overflow, 0.0);
+  EXPECT_LT(stats.final_overflow, 1.0);
+}
+
 }  // namespace
 }  // namespace p3d::place

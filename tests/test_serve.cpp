@@ -382,7 +382,7 @@ TEST(JobsManifest, ParsesJobsWithDefaultsAndDerivedSeeds) {
       {"name": "a", "alpha_ilv": 5e-9},
       {"alpha_ilv": 1e-5, "priority": 2, "seed": 7},
       {"name": "c", "circuit": "ibm02", "scale": 0.01, "layers": 2,
-       "global_backend": "analytic"}
+       "global_backend": "bisection"}
     ]
   })";
   auto m = ParseJobsManifest(text);
@@ -399,9 +399,9 @@ TEST(JobsManifest, ParsesJobsWithDefaultsAndDerivedSeeds) {
   EXPECT_EQ(m->jobs[1].priority, 2);
   EXPECT_EQ(m->jobs[1].params.seed, 7u);  // explicit seed wins
 
-  // Backend defaults to bisection; per-job override parses.
+  // Backend defaults to bisection; an explicit per-job backend parses.
   EXPECT_EQ(m->jobs[0].params.global_backend, place::GlobalBackend::kBisection);
-  EXPECT_EQ(m->jobs[2].params.global_backend, place::GlobalBackend::kAnalytic);
+  EXPECT_EQ(m->jobs[2].params.global_backend, place::GlobalBackend::kBisection);
 
   EXPECT_EQ(m->jobs[2].params.num_layers, 2);
   // Netlists dedupe by (circuit, scale): ibm01 shared, ibm02 separate.
@@ -436,6 +436,12 @@ TEST(JobsManifest, RejectsMalformedInput) {
       "jobs": [{"circuit": "ibm01", "scale": 0.01,
                 "global_backend": "simulated-annealing"}]})")
                    .ok());
+  // The removed analytic backend is rejected with a clean status.
+  const auto analytic = ParseJobsManifest(R"({"schema": "placer3d.jobs",
+      "version": 1, "jobs": [{"circuit": "ibm01", "scale": 0.01,
+                              "global_backend": "analytic"}]})");
+  ASSERT_FALSE(analytic.ok());
+  EXPECT_EQ(analytic.status().code(), util::StatusCode::kInvalidArgument);
   EXPECT_FALSE(LoadJobsManifest("/nonexistent/manifest.json").ok());
 }
 

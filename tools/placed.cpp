@@ -21,7 +21,7 @@
 //     --blackbox PATH     flight-recorder dump file for audit violations,
 //                         stalls, cancellations, and fatal signals
 //     --global-backend NAME  override the global-placement backend of every
-//                         job in the manifest (bisection | analytic)
+//                         job in the manifest (bisection)
 //     --quiet             errors only
 //
 // Every --flag also accepts the --flag=value spelling. Progress (per-job

@@ -13,8 +13,8 @@
 //     --alpha-ilv V           interlayer via coefficient (default 1e-5)
 //     --alpha-temp V          thermal coefficient (default 0)
 //     --global-backend NAME   global-placement engine: bisection (paper
-//                             Section 3 recursive bisection, default) or
-//                             analytic (quadratic B2B + 3D density)
+//                             Section 3 recursive bisection, the default
+//                             and only engine)
 //     --seed N                placer seed
 //     --threads N             worker threads (0 = all hardware threads);
 //                             results are identical for any thread count
@@ -107,7 +107,7 @@ void PrintUsage() {
   std::puts(
       "usage: placer3d_cli [--circuit ibmXX | --aux design.aux] [--scale S]\n"
       "                    [--layers N] [--alpha-ilv V] [--alpha-temp V]\n"
-      "                    [--global-backend bisection|analytic]\n"
+      "                    [--global-backend bisection]\n"
       "                    [--seed N] [--threads N] [--legalize-threads N]\n"
       "                    [--legalize-window N] [--out-pl F] [--out-svg F]\n"
       "                    [--out-thermal-svg F] [--report] [--no-fea]\n"
