@@ -2,9 +2,7 @@
 
 #include <cassert>
 #include <cmath>
-#include <utility>
 
-#include "linalg/multigrid.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/parallel.h"
@@ -46,7 +44,6 @@ const char* PreconditionerName(PreconditionerKind kind) {
   switch (kind) {
     case PreconditionerKind::kJacobi: return "jacobi";
     case PreconditionerKind::kIc0: return "ic0";
-    case PreconditionerKind::kMultigrid: return "multigrid";
   }
   return "unknown";
 }
@@ -161,27 +158,10 @@ bool CgPreconditioner::BuildIc0(const CsrMatrix& a, double shift) {
   return true;
 }
 
-CgPreconditioner CgPreconditioner::BuildMultigrid(
-    std::shared_ptr<const MultigridHierarchy> hierarchy) {
-  assert(hierarchy != nullptr && !hierarchy->empty());
-  CgPreconditioner p;
-  p.kind_ = PreconditionerKind::kMultigrid;
-  p.mg_ = std::move(hierarchy);
-  return p;
-}
-
 CgPreconditioner CgPreconditioner::Build(const CsrMatrix& a,
                                          PreconditionerKind kind) {
   CgPreconditioner p;
   p.kind_ = kind;
-  if (kind == PreconditionerKind::kMultigrid) {
-    // No grid information here — a hierarchy cannot be built from the bare
-    // matrix. Degrade to Jacobi (callers that want multigrid go through
-    // BuildMultigrid with a prebuilt hierarchy, e.g. thermal::FeaAssembly).
-    obs::MetricAdd("cg/mg_fallbacks", 1);
-    p.kind_ = PreconditionerKind::kJacobi;
-    kind = PreconditionerKind::kJacobi;
-  }
   if (kind == PreconditionerKind::kIc0) {
     // Diagonal-shift restart: IC(0) can break down on matrices that are SPD
     // but not diagonally dominant. Each failure retries with a 10x larger
@@ -206,13 +186,7 @@ CgPreconditioner CgPreconditioner::Build(const CsrMatrix& a,
 }
 
 void CgPreconditioner::Apply(const std::vector<double>& r,
-                             std::vector<double>* z,
-                             runtime::ThreadPool* pool) const {
-  if (kind_ == PreconditionerKind::kMultigrid) {
-    assert(mg_ != nullptr);
-    mg_->PrecondApply(r, z, pool);
-    return;
-  }
+                             std::vector<double>* z) const {
   const std::size_t n = r.size();
   z->resize(n);
   if (kind_ == PreconditionerKind::kJacobi) {
@@ -295,7 +269,7 @@ CgResult SolveImpl(const CsrMatrix& a, const CgPreconditioner& precond,
       return result;
     }
   }
-  precond.Apply(r, &z, pool);
+  precond.Apply(r, &z);
   p = z;
   double rz = Dot(pool, r, z);
 
@@ -317,7 +291,7 @@ CgResult SolveImpl(const CsrMatrix& a, const CgPreconditioner& precond,
       record(result);
       return result;
     }
-    precond.Apply(r, &z, pool);
+    precond.Apply(r, &z);
     const double rz_new = Dot(pool, r, z);
     // A non-positive r'z means the preconditioner lost positive definiteness
     // (numerically); stop rather than diverge on a negative beta.

@@ -1,43 +1,34 @@
 // Preconditioned conjugate gradient for symmetric positive-definite systems
 // (the FEA thermal matrices).
 //
-// Three preconditioners are available:
-//   * Jacobi    — M = diag(A); free to build, modest iteration savings.
-//   * IC(0)     — incomplete Cholesky on the sparsity pattern of A, with an
+// Two preconditioners are available:
+//   * Jacobi — M = diag(A); free to build, modest iteration savings.
+//   * IC(0)  — incomplete Cholesky on the sparsity pattern of A, with an
 //     automatic diagonal-shift restart on breakdown. Costs one factorization
-//     per matrix, then cuts iteration counts several-fold on the FEA meshes.
-//   * Multigrid — one geometric V-cycle per application, against a prebuilt
-//     linalg::MultigridHierarchy (BuildMultigrid). Mesh-size-independent
-//     iteration counts on the FEA matrices; only reachable through a
-//     prebuilt hierarchy — Build(a, kMultigrid) has no grid information and
-//     degrades to Jacobi (counted as cg/mg_fallbacks).
+//     per matrix; cached and warm-started, it needs 15-53x fewer iterations
+//     than Jacobi on the FEA meshes (DESIGN.md §8).
 // A CgPreconditioner can be built once per matrix and reused across solves
 // (see thermal::FeaContext), which is where IC(0)'s build cost amortizes.
 //
 // Determinism: SpMV / dot / axpy run on the deterministic parallel runtime
 // (fixed chunking, ordered combination); the preconditioner application is
-// serial (Jacobi's scaling loop runs through ParallelFor with fixed chunks,
-// IC(0)'s triangular solves are inherently sequential). Every solve is
-// bit-identical for any thread count.
+// serial (IC(0)'s triangular solves are inherently sequential). Every solve
+// is bit-identical for any thread count.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "linalg/csr.h"
 
 namespace p3d::linalg {
 
-class MultigridHierarchy;
-
 enum class PreconditionerKind {
   kJacobi,
   kIc0,
-  kMultigrid,
 };
 
-/// Returns "jacobi" / "ic0" / "multigrid".
+/// Returns "jacobi" / "ic0".
 const char* PreconditionerName(PreconditionerKind kind);
 
 struct CgOptions {
@@ -69,31 +60,14 @@ class CgPreconditioner {
 
   /// Factors `a` (Jacobi: inverts the diagonal; IC(0): incomplete Cholesky
   /// with diagonal-shift restart on breakdown — never fails on an SPD-ish
-  /// matrix, the shift grows until the factorization completes). kMultigrid
-  /// needs grid information a bare matrix does not carry, so this overload
-  /// degrades it to Jacobi — build the hierarchy and use BuildMultigrid.
+  /// matrix, the shift grows until the factorization completes).
   static CgPreconditioner Build(const CsrMatrix& a, PreconditionerKind kind);
 
-  /// Wraps a prebuilt geometric-multigrid hierarchy (one V-cycle per Apply).
-  /// The hierarchy's finest matrix must be the matrix later solved with.
-  /// Shared ownership: many preconditioners (across threads) may wrap one
-  /// hierarchy — Apply is const and allocates its scratch per call.
-  static CgPreconditioner BuildMultigrid(
-      std::shared_ptr<const MultigridHierarchy> hierarchy);
-
-  /// z = M^-1 r. Deterministic for any thread count; Jacobi / IC(0) ignore
-  /// `pool` (serial application), multigrid runs its V-cycle kernels on it.
-  void Apply(const std::vector<double>& r, std::vector<double>* z,
-             runtime::ThreadPool* pool = nullptr) const;
+  /// z = M^-1 r. Serial, so deterministic for any thread count.
+  void Apply(const std::vector<double>& r, std::vector<double>* z) const;
 
   PreconditionerKind kind() const { return kind_; }
-  bool empty() const {
-    return inv_diag_.empty() && ic_vals_.empty() && mg_ == nullptr;
-  }
-  /// The wrapped hierarchy (null unless built via BuildMultigrid).
-  const std::shared_ptr<const MultigridHierarchy>& hierarchy() const {
-    return mg_;
-  }
+  bool empty() const { return inv_diag_.empty() && ic_vals_.empty(); }
   /// Diagonal shift the IC(0) factorization needed (0.0 = clean factor).
   double ic_shift() const { return ic_shift_; }
 
@@ -111,9 +85,6 @@ class CgPreconditioner {
   std::vector<double> icT_vals_;
   std::vector<double> ic_inv_diag_;  // 1 / L_ii, hoisted out of the solves
   double ic_shift_ = 0.0;
-
-  // Multigrid: shared immutable hierarchy (V-cycle per Apply).
-  std::shared_ptr<const MultigridHierarchy> mg_;
 
   bool BuildIc0(const CsrMatrix& a, double shift);
 };

@@ -164,9 +164,9 @@ struct PlacerParams {
   // refine — instead of only at phase boundaries (RunOptions::fea_per_phase).
   // Observational: temperatures feed telemetry and reporting, never placement
   // decisions, so placements stay byte-identical with the knob on or off.
-  // Meant to be paired with the multigrid thermal solver
-  // (linalg::PreconditionerKind::kMultigrid via RunOptions::preconditioner,
-  // or thermal::FeaOptions::solver), which makes per-pass solves affordable.
+  // Affordable with RunOptions' defaults: the cached IC(0) factor plus warm
+  // starts from the previous pass's field (RunOptions::preconditioner,
+  // use_solver_cache, warm_start).
   bool fea_per_pass = false;
 
   /// Copies num_layers into the thermal stack (kept in one place so callers

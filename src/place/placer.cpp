@@ -210,8 +210,9 @@ util::StatusOr<PlacementResult> Placer3D::Run(const RunOptions& options) {
   // Per-pass thermal (params_.fea_per_pass): one observational solve after
   // every legalization pass, at a finer grain than the phase boundaries.
   // Results feed telemetry and the reuse accounting, never the placement —
-  // the flow's bytes are identical with the knob on or off. Affordable when
-  // the solver-reuse layer runs multigrid (cheap, warm-started V-cycles).
+  // the flow's bytes are identical with the knob on or off. Affordable
+  // because the solver-reuse layer keeps one IC(0) factor per geometry and
+  // warm-starts each solve from the previous field.
   const auto pass_fea = [&](const char* pass) {
     if (!params_.fea_per_pass) return;
     obs::TraceScope trace_pass("fea.pass");

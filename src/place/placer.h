@@ -76,7 +76,7 @@ struct PlacementResult {
 
   // Cumulative FEA/CG solve accounting (solver reuse layer).
   long long fea_solves = 0;        // thermal solves run during the flow
-  long long fea_cg_iters = 0;      // CG iterations / V-cycles across them
+  long long fea_cg_iters = 0;      // CG iterations across them
   long long fea_nonconverged = 0;  // solves that hit the iteration cap
                                    // (also surfaced as fea/nonconverged in
                                    // the metrics registry and run-report QoR)

@@ -126,11 +126,14 @@ RowOptStats RowRefiner::Run(int passes) {
           const double span_lo = std::max(0.0, i == 0 ? 0.0 : sim[i - 1].hi);
           const double span_hi = std::min(
               chip_.width(), i + 1 < sim.size() ? sim[i + 1].lo : chip_.width());
-          if (span_hi - span_lo < cw - kGeomEps) continue;
+          // No slack (the span is at most the cell's width): nothing to
+          // slide, and std::clamp below requires lo <= hi.
+          const double lo = span_lo + cw / 2.0;
+          const double hi = span_hi - cw / 2.0;
+          if (hi < lo) continue;
           double ox = 0.0, oy = 0.0;
           OptimalLateralPosition(eval_, e.cell, &ox, &oy);
-          const double target =
-              std::clamp(ox, span_lo + cw / 2.0, span_hi - cw / 2.0);
+          const double target = std::clamp(ox, lo, hi);
           const double cur = (e.lo + e.hi) / 2.0;
           if (std::abs(target - cur) < kGeomEps) continue;
           const std::size_t ci = static_cast<std::size_t>(e.cell);
@@ -156,11 +159,12 @@ RowOptStats RowRefiner::Run(int passes) {
       const double span_lo = std::max(0.0, i == 0 ? 0.0 : row[i - 1].hi);
       const double span_hi = std::min(
           chip_.width(), i + 1 < row.size() ? row[i + 1].lo : chip_.width());
-      if (span_hi - span_lo < cw - kGeomEps) continue;
+      const double lo = span_lo + cw / 2.0;
+      const double hi = span_hi - cw / 2.0;
+      if (hi < lo) continue;  // no slack (see propose_slides)
       double ox = 0.0, oy = 0.0;
       OptimalLateralPosition(eval_, e.cell, &ox, &oy);
-      const double target =
-          std::clamp(ox, span_lo + cw / 2.0, span_hi - cw / 2.0);
+      const double target = std::clamp(ox, lo, hi);
       const Placement& p = eval_.placement();
       const std::size_t ci = static_cast<std::size_t>(e.cell);
       if (std::abs(target - p.x[ci]) < kGeomEps) continue;

@@ -153,12 +153,10 @@ util::StatusOr<JobsManifest> ParseJobsManifest(const std::string& text) {
         spec.options.preconditioner = linalg::PreconditionerKind::kJacobi;
       } else if (kind == "ic0") {
         spec.options.preconditioner = linalg::PreconditionerKind::kIc0;
-      } else if (kind == "multigrid") {
-        spec.options.preconditioner = linalg::PreconditionerKind::kMultigrid;
       } else {
         return util::ParseError("jobs manifest: job " + std::to_string(i) +
                                 ": bad fea_precond '" + kind +
-                                "' (want jacobi|ic0|multigrid)");
+                                "' (want jacobi|ic0)");
       }
     }
     if (const auto* v = Lookup(jv, defaults, "start_deadline_s")) {

@@ -18,8 +18,8 @@
 // default): circuit, scale, layers, alpha_ilv, alpha_temp, seed, priority,
 // threads, with_fea, fea_per_phase, fea_per_pass, start_deadline_s,
 // global_backend ("bisection", the default; any other name is a manifest
-// error), and fea_precond ("jacobi" | "ic0" | "multigrid",
-// default ic0 — multigrid is the one that makes fea_per_pass affordable).
+// error), and fea_precond ("jacobi" | "ic0", default ic0 — the cached,
+// warm-started IC(0) factor is what makes fea_per_pass affordable).
 //
 // Determinism: a job without an explicit "seed" gets
 // runtime::DeriveSeed(base_seed, job_index) — a pure function of the

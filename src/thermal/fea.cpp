@@ -8,10 +8,8 @@
 #include <fstream>
 #include <utility>
 
-#include "linalg/multigrid.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/thread_pool.h"
 #include "util/log.h"
 
 namespace p3d::thermal {
@@ -80,14 +78,6 @@ std::array<std::array<double, 4>, 4> FaceConvection(double area, double h) {
 }
 
 }  // namespace
-
-const char* FeaSolverKindName(FeaSolverKind kind) {
-  switch (kind) {
-    case FeaSolverKind::kCg: return "cg";
-    case FeaSolverKind::kMultigrid: return "multigrid";
-  }
-  return "unknown";
-}
 
 FeaSolver::FeaSolver(const ThermalStack& stack, const ChipExtent& chip,
                      const FeaOptions& options)
@@ -310,75 +300,13 @@ double FeaSolver::SampleTemp(const std::vector<double>& node_temp, double x,
 
 // --- FeaAssembly / FeaContext: assemble once, solve many ---------------------
 
-namespace {
-
-bool WantsMultigrid(const FeaOptions& options) {
-  return options.solver == FeaSolverKind::kMultigrid ||
-         options.cg.preconditioner == linalg::PreconditionerKind::kMultigrid;
-}
-
-/// Builds the mesh hierarchy for `fine` by re-assembling the stiffness
-/// matrix on each 2x-lateral-coarsened grid (same stack, same z planes).
-/// Returns null when multigrid was not requested or the lateral grid cannot
-/// be halved even once.
-std::shared_ptr<const linalg::MultigridHierarchy> BuildHierarchy(
-    const ThermalStack& stack, const ChipExtent& chip,
-    const FeaOptions& options, const FeaSolver& fine) {
-  if (!WantsMultigrid(options)) return nullptr;
-  const linalg::MgGrid fine_grid{fine.NumXElems(), fine.NumYElems(),
-                                 fine.NumZPlanes()};
-  const std::vector<linalg::MgGrid> plan =
-      linalg::MultigridHierarchy::CoarsenPlan(fine_grid);
-  if (plan.size() < 2) {
-    util::LogWarn(
-        "fea: %dx%d lateral grid cannot be coarsened; multigrid disabled "
-        "(falling back to IC(0)-preconditioned CG)",
-        fine.NumXElems(), fine.NumYElems());
-    return nullptr;
-  }
-  obs::TraceScope trace("fea.mg_build");
-  std::vector<linalg::CsrMatrix> matrices;
-  matrices.reserve(plan.size());
-  matrices.push_back(fine.matrix());
-  for (std::size_t l = 1; l < plan.size(); ++l) {
-    FeaOptions coarse_options = options;
-    coarse_options.nx = plan[l].nx;
-    coarse_options.ny = plan[l].ny;
-    const FeaSolver coarse(stack, chip, coarse_options);
-    assert(coarse.NumZPlanes() == fine.NumZPlanes());
-    matrices.push_back(coarse.matrix());
-  }
-  return std::make_shared<const linalg::MultigridHierarchy>(
-      linalg::MultigridHierarchy::Build(std::move(matrices), plan));
-}
-
-/// The preconditioner an assembly solves with: the multigrid V-cycle when a
-/// hierarchy exists and CG-with-multigrid was requested, the requested kind
-/// otherwise — except that an unsatisfiable multigrid request (no hierarchy)
-/// deterministically degrades to IC(0) rather than Jacobi.
-linalg::CgPreconditioner BuildAssemblyPrecond(
-    const FeaOptions& options, const FeaSolver& solver,
-    const std::shared_ptr<const linalg::MultigridHierarchy>& hierarchy) {
-  linalg::PreconditionerKind kind = options.cg.preconditioner;
-  if (kind == linalg::PreconditionerKind::kMultigrid &&
-      hierarchy != nullptr) {
-    return linalg::CgPreconditioner::BuildMultigrid(hierarchy);
-  }
-  if (hierarchy == nullptr && WantsMultigrid(options)) {
-    kind = linalg::PreconditionerKind::kIc0;
-  }
-  return linalg::CgPreconditioner::Build(solver.matrix(), kind);
-}
-
-}  // namespace
-
 FeaAssembly::FeaAssembly(const ThermalStack& stack_in,
                          const ChipExtent& chip_in, const FeaOptions& options)
     : stack(stack_in),
       chip(chip_in),
       solver(stack_in, chip_in, options),
-      hierarchy(BuildHierarchy(stack_in, chip_in, options, solver)),
-      precond(BuildAssemblyPrecond(options, solver, hierarchy)) {}
+      precond(linalg::CgPreconditioner::Build(solver.matrix(),
+                                              options.cg.preconditioner)) {}
 
 FeaContext::FeaContext(const ThermalStack& stack, const ChipExtent& chip,
                        const FeaContextOptions& options)
@@ -441,19 +369,8 @@ FeaResult FeaContext::Solve(const std::vector<double>& x,
     temp.assign(n, 0.0);
   }
 
-  // Solver dispatch: standalone V-cycle iteration when the options ask for
-  // it and a hierarchy exists, preconditioned CG otherwise (where the
-  // preconditioner may itself be a V-cycle — see FeaAssembly). Either way
-  // the result is bit-identical for any thread count.
-  linalg::CgResult cg;
-  if (assembly_->UsesStandaloneMultigrid()) {
-    runtime::ThreadPool* pool = runtime::SharedPool(options_.fea.cg.threads);
-    cg = assembly_->hierarchy->Solve(rhs, &temp, options_.fea.cg.max_iters,
-                                     options_.fea.cg.rel_tolerance, pool);
-  } else {
-    cg = linalg::SolveCgPreconditioned(solver.matrix(), assembly_->precond,
-                                       rhs, &temp, options_.fea.cg);
-  }
+  const linalg::CgResult cg = linalg::SolveCgPreconditioned(
+      solver.matrix(), assembly_->precond, rhs, &temp, options_.fea.cg);
   if (!cg.converged) {
     util::LogWarn("fea: thermal solve did not converge (residual %.3g after "
                   "%d iters)",

@@ -1,13 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "linalg/cg.h"
 #include "linalg/csr.h"
-#include "linalg/multigrid.h"
 #include "util/rng.h"
 
 namespace p3d::linalg {
@@ -261,251 +258,6 @@ TEST(CgIc0, MatchesJacobiBitwiseAcrossThreadCounts) {
       EXPECT_EQ(x1[i], x4[i]) << PreconditionerName(kind) << " row " << i;
     }
   }
-}
-
-// --- geometric multigrid ----------------------------------------------------
-
-/// Trilinear hex-FEM Poisson assembly (unit conductivity, Robin bottom face)
-/// on the MgGrid node layout — the same element family the thermal FEA uses,
-/// so re-assembling on a 2x-coarser lateral grid produces exactly the
-/// Galerkin coarse operator (nested spaces). Domain is 1 x 1 x (nz_elems*hz).
-CsrMatrix PoissonHex(const MgGrid& g, double hz) {
-  const double hx = 1.0 / g.nx;
-  const double hy = 1.0 / g.ny;
-  const int nz_elems = g.nz_nodes - 1;
-  const auto node = [&](int ix, int iy, int iz) {
-    return ix + (g.nx + 1) * (iy + (g.ny + 1) * iz);
-  };
-
-  // 8x8 element stiffness by 2x2x2 Gauss quadrature of the trilinear shape
-  // gradients (local node order: bit 0 = x, bit 1 = y, bit 2 = z).
-  double ke[8][8] = {};
-  const double gp = 1.0 / std::sqrt(3.0);
-  const double jac[3] = {hx / 2.0, hy / 2.0, hz / 2.0};
-  const double det = jac[0] * jac[1] * jac[2];
-  for (int q = 0; q < 8; ++q) {
-    const double p[3] = {(q & 1) ? gp : -gp, (q & 2) ? gp : -gp,
-                         (q & 4) ? gp : -gp};
-    double grad[8][3];
-    for (int i = 0; i < 8; ++i) {
-      const double xi = (i & 1) ? 1.0 : -1.0;
-      const double et = (i & 2) ? 1.0 : -1.0;
-      const double ze = (i & 4) ? 1.0 : -1.0;
-      grad[i][0] = 0.125 * xi * (1 + et * p[1]) * (1 + ze * p[2]) / jac[0];
-      grad[i][1] = 0.125 * et * (1 + xi * p[0]) * (1 + ze * p[2]) / jac[1];
-      grad[i][2] = 0.125 * ze * (1 + xi * p[0]) * (1 + et * p[1]) / jac[2];
-    }
-    for (int i = 0; i < 8; ++i) {
-      for (int j = 0; j < 8; ++j) {
-        ke[i][j] += det * (grad[i][0] * grad[j][0] + grad[i][1] * grad[j][1] +
-                           grad[i][2] * grad[j][2]);
-      }
-    }
-  }
-
-  CooBuilder coo(g.NumNodes());
-  for (int ez = 0; ez < nz_elems; ++ez) {
-    for (int ey = 0; ey < g.ny; ++ey) {
-      for (int ex = 0; ex < g.nx; ++ex) {
-        int n[8];
-        for (int i = 0; i < 8; ++i) {
-          n[i] = node(ex + (i & 1), ey + ((i >> 1) & 1), ez + ((i >> 2) & 1));
-        }
-        for (int i = 0; i < 8; ++i) {
-          for (int j = 0; j < 8; ++j) coo.Add(n[i], n[j], ke[i][j]);
-        }
-      }
-    }
-  }
-  // Robin term on the bottom face (bilinear face mass, h = 5) pins the
-  // otherwise-singular pure-Neumann operator; a face integral of nested
-  // spaces, so it stays variational under re-assembly.
-  const double h_face = 5.0 * (hx * hy) / 36.0;
-  for (int ey = 0; ey < g.ny; ++ey) {
-    for (int ex = 0; ex < g.nx; ++ex) {
-      const int fn[4] = {node(ex, ey, 0), node(ex + 1, ey, 0),
-                         node(ex, ey + 1, 0), node(ex + 1, ey + 1, 0)};
-      for (int i = 0; i < 4; ++i) {
-        for (int j = 0; j < 4; ++j) {
-          const int manhattan = (((i ^ j) & 1) ? 1 : 0) + (((i ^ j) & 2) ? 1 : 0);
-          const double base =
-              manhattan == 0 ? 4.0 : (manhattan == 1 ? 2.0 : 1.0);
-          coo.Add(fn[i], fn[j], h_face * base);
-        }
-      }
-    }
-  }
-  return CsrMatrix::FromCoo(coo);
-}
-
-MultigridHierarchy BuildPoissonHierarchy(int nx, int ny, int nz_nodes,
-                                         const MultigridOptions& options = {}) {
-  const MgGrid fine{nx, ny, nz_nodes};
-  const std::vector<MgGrid> plan = MultigridHierarchy::CoarsenPlan(fine, options);
-  std::vector<CsrMatrix> mats;
-  mats.reserve(plan.size());
-  for (const MgGrid& g : plan) mats.push_back(PoissonHex(g, 0.25));
-  return MultigridHierarchy::Build(std::move(mats), plan, options);
-}
-
-TEST(Multigrid, CoarsenPlanHalvesLateralGridAndKeepsZ) {
-  const auto plan = MultigridHierarchy::CoarsenPlan({24, 24, 12});
-  ASSERT_EQ(plan.size(), 4u);  // 24 -> 12 -> 6 -> 3 (odd: stop)
-  EXPECT_EQ(plan[1].nx, 12);
-  EXPECT_EQ(plan[3].nx, 3);
-  EXPECT_EQ(plan[3].ny, 3);
-  for (const auto& g : plan) EXPECT_EQ(g.nz_nodes, 12);
-  // Odd lateral grids cannot be coarsened at all.
-  EXPECT_EQ(MultigridHierarchy::CoarsenPlan({25, 24, 12}).size(), 1u);
-  // min_lateral_elems stops the descent.
-  MultigridOptions opt;
-  opt.min_lateral_elems = 6;
-  EXPECT_EQ(MultigridHierarchy::CoarsenPlan({24, 24, 12}, opt).size(), 3u);
-}
-
-TEST(Multigrid, StandaloneSolveConvergesFast) {
-  const MultigridHierarchy mg = BuildPoissonHierarchy(16, 16, 4);
-  ASSERT_EQ(mg.NumLevels(), 4);  // 16 -> 8 -> 4 -> 2
-  EXPECT_TRUE(mg.CoarseDirect());
-  util::Rng rng(17);
-  std::vector<double> truth(static_cast<std::size_t>(mg.Dim()));
-  for (auto& v : truth) v = rng.NextDouble(-1.0, 1.0);
-  std::vector<double> b;
-  mg.Matrix(0).Multiply(truth, &b);
-  std::vector<double> x;
-  const CgResult r = mg.Solve(b, &x, /*max_cycles=*/50, 1e-10);
-  ASSERT_TRUE(r.converged);
-  // Mesh-independent convergence is the whole point: a handful of V-cycles,
-  // not the O(n) iterations an unpreconditioned Krylov method would need.
-  EXPECT_LE(r.iters, 25);
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    EXPECT_NEAR(x[i], truth[i], 1e-6);
-  }
-  // A warm start from the solution early-exits without cycling.
-  const CgResult warm = mg.Solve(b, &x, 50, 1e-10);
-  EXPECT_TRUE(warm.converged);
-  EXPECT_EQ(warm.iters, 0);
-}
-
-TEST(Multigrid, PreconditionerIsSymmetric) {
-  // CG requires a symmetric preconditioner: check <B u, v> == <u, B v> for
-  // random vectors (equal pre/post weighted-Jacobi sweeps keep it so).
-  const MultigridHierarchy mg = BuildPoissonHierarchy(8, 8, 3);
-  util::Rng rng(23);
-  const std::size_t n = static_cast<std::size_t>(mg.Dim());
-  std::vector<double> u(n), v(n), bu, bv;
-  for (auto& e : u) e = rng.NextDouble(-1.0, 1.0);
-  for (auto& e : v) e = rng.NextDouble(-1.0, 1.0);
-  mg.PrecondApply(u, &bu);
-  mg.PrecondApply(v, &bv);
-  double buv = 0.0, ubv = 0.0, scale = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    buv += bu[i] * v[i];
-    ubv += u[i] * bv[i];
-    scale += std::abs(bu[i] * v[i]);
-  }
-  EXPECT_NEAR(buv, ubv, 1e-10 * scale + 1e-14);
-}
-
-TEST(Multigrid, PreconditionedCgMatchesIc0AtEqualTolerance) {
-  const MultigridHierarchy mg = BuildPoissonHierarchy(32, 32, 4);
-  const CsrMatrix& a = mg.Matrix(0);
-  util::Rng rng(5);
-  std::vector<double> truth(static_cast<std::size_t>(a.Dim()));
-  for (auto& v : truth) v = rng.NextDouble(-2.0, 2.0);
-  std::vector<double> b;
-  a.Multiply(truth, &b);
-
-  CgOptions opt;
-  opt.rel_tolerance = 1e-10;
-  std::vector<double> x_ic;
-  opt.preconditioner = PreconditionerKind::kIc0;
-  const CgResult ric = SolveCg(a, b, &x_ic, opt);
-
-  auto shared = std::make_shared<const MultigridHierarchy>(
-      BuildPoissonHierarchy(32, 32, 4));
-  const CgPreconditioner pmg = CgPreconditioner::BuildMultigrid(shared);
-  EXPECT_EQ(pmg.kind(), PreconditionerKind::kMultigrid);
-  EXPECT_FALSE(pmg.empty());
-  std::vector<double> x_mg;
-  const CgResult rmg = SolveCgPreconditioned(a, pmg, b, &x_mg, opt);
-
-  ASSERT_TRUE(ric.converged);
-  ASSERT_TRUE(rmg.converged);
-  EXPECT_LE(rmg.iters, ric.iters);
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    EXPECT_NEAR(x_mg[i], x_ic[i], 1e-7);
-  }
-}
-
-TEST(Multigrid, DeterministicAcrossThreadCounts) {
-  const MultigridHierarchy mg = BuildPoissonHierarchy(16, 16, 4);
-  util::Rng rng(29);
-  std::vector<double> truth(static_cast<std::size_t>(mg.Dim()));
-  for (auto& v : truth) v = rng.NextDouble(-3.0, 3.0);
-  std::vector<double> b;
-  mg.Matrix(0).Multiply(truth, &b);
-
-  // Standalone V-cycle solve: bitwise-equal at 1 and 8 threads.
-  std::vector<double> x1, x8;
-  const CgResult r1 =
-      mg.Solve(b, &x1, 50, 1e-10, runtime::SharedPool(1));
-  const CgResult r8 =
-      mg.Solve(b, &x8, 50, 1e-10, runtime::SharedPool(8));
-  ASSERT_TRUE(r1.converged);
-  EXPECT_EQ(r1.iters, r8.iters);
-  for (std::size_t i = 0; i < x1.size(); ++i) EXPECT_EQ(x1[i], x8[i]);
-
-  // Same contract through the CG preconditioner path.
-  auto shared =
-      std::make_shared<const MultigridHierarchy>(BuildPoissonHierarchy(16, 16, 4));
-  const CgPreconditioner pmg = CgPreconditioner::BuildMultigrid(shared);
-  CgOptions opt;
-  opt.rel_tolerance = 1e-10;
-  opt.threads = 1;
-  std::vector<double> y1;
-  const CgResult c1 = SolveCgPreconditioned(mg.Matrix(0), pmg, b, &y1, opt);
-  opt.threads = 8;
-  std::vector<double> y8;
-  const CgResult c8 = SolveCgPreconditioned(mg.Matrix(0), pmg, b, &y8, opt);
-  ASSERT_TRUE(c1.converged);
-  EXPECT_EQ(c1.iters, c8.iters);
-  for (std::size_t i = 0; i < y1.size(); ++i) EXPECT_EQ(y1[i], y8[i]);
-}
-
-TEST(Multigrid, CoarseCgFallbackMatchesDirectSolve) {
-  MultigridOptions direct_opt;
-  const MultigridHierarchy direct = BuildPoissonHierarchy(8, 8, 3, direct_opt);
-  MultigridOptions cg_opt;
-  cg_opt.coarse_direct_max_dim = 0;  // force the CG coarse path
-  const MultigridHierarchy iterative = BuildPoissonHierarchy(8, 8, 3, cg_opt);
-  EXPECT_TRUE(direct.CoarseDirect());
-  EXPECT_FALSE(iterative.CoarseDirect());
-
-  util::Rng rng(31);
-  std::vector<double> truth(static_cast<std::size_t>(direct.Dim()));
-  for (auto& v : truth) v = rng.NextDouble(-1.0, 1.0);
-  std::vector<double> b;
-  direct.Matrix(0).Multiply(truth, &b);
-  std::vector<double> xd, xi;
-  const CgResult rd = direct.Solve(b, &xd, 50, 1e-10);
-  const CgResult ri = iterative.Solve(b, &xi, 50, 1e-10);
-  ASSERT_TRUE(rd.converged);
-  ASSERT_TRUE(ri.converged);
-  for (std::size_t i = 0; i < xd.size(); ++i) EXPECT_NEAR(xd[i], xi[i], 1e-8);
-}
-
-TEST(Multigrid, BareMatrixBuildDegradesToJacobi) {
-  // Build(a, kMultigrid) has no grid information: documented Jacobi fallback.
-  const CsrMatrix a = Laplacian2d(8, 8);
-  const CgPreconditioner p =
-      CgPreconditioner::Build(a, PreconditionerKind::kMultigrid);
-  EXPECT_EQ(p.kind(), PreconditionerKind::kJacobi);
-  EXPECT_FALSE(p.empty());
-  std::vector<double> truth(static_cast<std::size_t>(a.Dim()), 1.0), b, x;
-  a.Multiply(truth, &b);
-  const CgResult r = SolveCgPreconditioned(a, p, b, &x, {.rel_tolerance = 1e-10});
-  EXPECT_TRUE(r.converged);
 }
 
 }  // namespace

@@ -442,6 +442,12 @@ TEST(JobsManifest, RejectsMalformedInput) {
                               "global_backend": "analytic"}]})");
   ASSERT_FALSE(analytic.ok());
   EXPECT_EQ(analytic.status().code(), util::StatusCode::kInvalidArgument);
+  // "multigrid" is not a preconditioner: it fails like any unknown name.
+  const auto multigrid = ParseJobsManifest(R"({"schema": "placer3d.jobs",
+      "version": 1, "jobs": [{"circuit": "ibm01", "scale": 0.01,
+                              "fea_precond": "multigrid"}]})");
+  ASSERT_FALSE(multigrid.ok());
+  EXPECT_EQ(multigrid.status().code(), util::StatusCode::kParseError);
   EXPECT_FALSE(LoadJobsManifest("/nonexistent/manifest.json").ok());
 }
 

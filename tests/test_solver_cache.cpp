@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "io/synthetic.h"
-#include "linalg/multigrid.h"
 #include "obs/metrics.h"
 #include "place/monitor.h"
 #include "place/placer.h"
@@ -204,16 +203,14 @@ TEST(SolverCache, NetBoxKernelOnOffByteIdentical) {
 
 TEST(SolverCache, FeaContextWarmStartConvergesWithEveryPreconditioner) {
   // FeaContext on a thermal fixture: one assembly, warm-started re-solves,
-  // deterministic cold restart after a geometry change. Multigrid rides the
-  // same contract as Jacobi/IC(0) — here as the CG preconditioner (the
-  // 10-elem lateral grid still halves once, to 5x5).
+  // deterministic cold restart after a geometry change, for either CG
+  // preconditioner.
   thermal::ThermalStack stack;
   stack.num_layers = 3;
   const thermal::ChipExtent chip{1e-3, 1e-3};
 
   for (const linalg::PreconditionerKind kind :
-       {linalg::PreconditionerKind::kJacobi, linalg::PreconditionerKind::kIc0,
-        linalg::PreconditionerKind::kMultigrid}) {
+       {linalg::PreconditionerKind::kJacobi, linalg::PreconditionerKind::kIc0}) {
     thermal::FeaContextOptions opt;
     opt.fea.nx = 10;
     opt.fea.ny = 10;
@@ -314,117 +311,10 @@ TEST(SolverCache, AnomalyMonitorFlagsFeaNonconvergence) {
   EXPECT_EQ(registry.Counter("anomaly/fea_nonconverged"), 1);
 }
 
-TEST(SolverCache, MultigridMatchesIc0AtEqualTolerance) {
-  // Same FEA system, same 1e-8 relative tolerance: standalone multigrid
-  // V-cycles, multigrid-preconditioned CG, and IC(0)-preconditioned CG must
-  // agree on the temperatures they report.
-  thermal::ThermalStack stack;
-  stack.num_layers = 4;
-  const thermal::ChipExtent chip{1e-3, 1e-3};
-  thermal::FeaContextOptions base;
-  base.fea.nx = 24;  // coarsens 24 -> 12 -> 6 -> 3
-  base.fea.ny = 24;
-  base.fea.bulk_elems = 4;
-
-  const std::vector<double> x{0.3e-3, 0.7e-3, 0.5e-3};
-  const std::vector<double> y{0.4e-3, 0.6e-3, 0.5e-3};
-  const std::vector<int> layer{0, 2, 3};
-  const std::vector<double> power{0.05, 0.08, 0.03};
-
-  thermal::FeaContextOptions ic0 = base;
-  ic0.fea.cg.preconditioner = linalg::PreconditionerKind::kIc0;
-  thermal::FeaContext ctx_ic0(stack, chip, ic0);
-  const thermal::FeaResult want = ctx_ic0.Solve(x, y, layer, power);
-  ASSERT_TRUE(want.converged);
-
-  thermal::FeaContextOptions mg = base;
-  mg.fea.solver = thermal::FeaSolverKind::kMultigrid;
-  thermal::FeaContext ctx_mg(stack, chip, mg);
-  ASSERT_NE(ctx_mg.assembly()->hierarchy, nullptr);
-  EXPECT_EQ(ctx_mg.assembly()->hierarchy->NumLevels(), 4);
-  EXPECT_TRUE(ctx_mg.assembly()->UsesStandaloneMultigrid());
-  const thermal::FeaResult standalone = ctx_mg.Solve(x, y, layer, power);
-  ASSERT_TRUE(standalone.converged);
-  // V-cycles converge in far fewer iterations than Krylov sweeps.
-  EXPECT_LT(standalone.cg_iters, want.cg_iters);
-
-  thermal::FeaContextOptions mgpc = base;
-  mgpc.fea.cg.preconditioner = linalg::PreconditionerKind::kMultigrid;
-  thermal::FeaContext ctx_mgpc(stack, chip, mgpc);
-  ASSERT_NE(ctx_mgpc.assembly()->hierarchy, nullptr);
-  EXPECT_FALSE(ctx_mgpc.assembly()->UsesStandaloneMultigrid());
-  const thermal::FeaResult precond = ctx_mgpc.Solve(x, y, layer, power);
-  ASSERT_TRUE(precond.converged);
-
-  for (const thermal::FeaResult* r : {&standalone, &precond}) {
-    EXPECT_NEAR(r->avg_cell_temp, want.avg_cell_temp,
-                std::abs(want.avg_cell_temp) * 1e-4 + 1e-6);
-    EXPECT_NEAR(r->max_cell_temp, want.max_cell_temp,
-                std::abs(want.max_cell_temp) * 1e-4 + 1e-6);
-  }
-}
-
-TEST(SolverCache, MultigridFallsBackWhenGridCannotCoarsen) {
-  // An odd lateral grid cannot be halved even once; the assembly must
-  // degrade to IC(0)-preconditioned CG instead of failing.
-  thermal::ThermalStack stack;
-  stack.num_layers = 2;
-  const thermal::ChipExtent chip{1e-3, 1e-3};
-  thermal::FeaContextOptions opt;
-  opt.fea.nx = 11;
-  opt.fea.ny = 11;
-  opt.fea.bulk_elems = 2;
-  opt.fea.solver = thermal::FeaSolverKind::kMultigrid;
-
-  util::ScopedLogLevel quiet(util::LogLevel::kError);
-  thermal::FeaContext ctx(stack, chip, opt);
-  EXPECT_EQ(ctx.assembly()->hierarchy, nullptr);
-  EXPECT_FALSE(ctx.assembly()->UsesStandaloneMultigrid());
-  EXPECT_EQ(ctx.preconditioner().kind(), linalg::PreconditionerKind::kIc0);
-  const thermal::FeaResult r =
-      ctx.Solve({0.3e-3}, {0.4e-3}, {1}, {0.05});
-  EXPECT_TRUE(r.converged);
-}
-
-TEST(SolverCache, RefreshRebuildsMultigridHierarchy) {
-  // A geometry change must rebuild the mesh hierarchy along with the matrix
-  // and preconditioner; a matching Refresh must keep the shared assembly.
-  thermal::ThermalStack stack;
-  stack.num_layers = 2;
-  const thermal::ChipExtent chip{1e-3, 1e-3};
-  thermal::FeaContextOptions opt;
-  opt.fea.nx = 12;  // coarsens 12 -> 6 -> 3
-  opt.fea.ny = 12;
-  opt.fea.bulk_elems = 3;
-  opt.fea.solver = thermal::FeaSolverKind::kMultigrid;
-  thermal::FeaContext ctx(stack, chip, opt);
-
-  const auto h1 = ctx.assembly()->hierarchy;
-  ASSERT_NE(h1, nullptr);
-  EXPECT_EQ(h1->NumLevels(), 3);
-  EXPECT_EQ(h1->Dim(), ctx.solver().NumNodes());
-  const std::vector<double> x{0.3e-3}, y{0.4e-3}, power{0.05};
-  ASSERT_TRUE(ctx.Solve(x, y, {1}, power).converged);
-
-  EXPECT_FALSE(ctx.Refresh(stack, chip));
-  EXPECT_EQ(ctx.assembly()->hierarchy.get(), h1.get());
-
-  thermal::ThermalStack taller = stack;
-  taller.num_layers = 4;
-  EXPECT_TRUE(ctx.Refresh(taller, chip));
-  const auto h2 = ctx.assembly()->hierarchy;
-  ASSERT_NE(h2, nullptr);
-  EXPECT_NE(h2.get(), h1.get());
-  // The rebuilt fine level matches the new mesh (more z planes).
-  EXPECT_EQ(h2->Dim(), ctx.solver().NumNodes());
-  EXPECT_GT(h2->Dim(), h1->Dim());
-  ASSERT_TRUE(ctx.Solve(x, y, {3}, power).converged);
-}
-
-TEST(SolverCache, MultigridPerPassByteIdenticalThreads1Vs8) {
-  // The whole point of per-pass thermal + multigrid: placements stay
+TEST(SolverCache, PerPassByteIdenticalThreads1Vs8) {
+  // Per-pass thermal on the cached IC(0) path: placements stay
   // byte-identical at any thread count, and so does every deterministic
-  // counter (V-cycles included).
+  // counter (CG iterations included).
   util::ScopedLogLevel quiet(util::LogLevel::kError);
   const netlist::Netlist nl = Circuit(300, 26);
   place::PlacerParams params = ThermalParams();
@@ -436,14 +326,14 @@ TEST(SolverCache, MultigridPerPassByteIdenticalThreads1Vs8) {
       {.with_fea = true,
        .fea_per_phase = true,
        .use_solver_cache = true,
-       .preconditioner = linalg::PreconditionerKind::kMultigrid});
+       .preconditioner = linalg::PreconditionerKind::kIc0});
   params.threads = 8;
   const RunOutput r8 = RunWith(
       nl, params,
       {.with_fea = true,
        .fea_per_phase = true,
        .use_solver_cache = true,
-       .preconditioner = linalg::PreconditionerKind::kMultigrid});
+       .preconditioner = linalg::PreconditionerKind::kIc0});
 
   ExpectSamePlacement(r1.result, r8.result);
   EXPECT_EQ(r1.result.avg_temp_c, r8.result.avg_temp_c);

@@ -41,10 +41,9 @@
 //                             on audit violations and fatal signals
 //     --no-fea                skip the FEA temperature solve
 //     --fea-per-pass          re-solve thermal FEA after every legalization
-//                             pass (observational; pair with
-//                             --fea-precond multigrid to keep it cheap)
-//     --fea-precond NAME      FEA preconditioner: jacobi|ic0|multigrid
-//                             (default ic0)
+//                             pass (observational; cheap with the
+//                             default cached, warm-started IC(0))
+//     --fea-precond NAME      FEA preconditioner: jacobi|ic0 (default ic0)
 //     --quiet                 errors only
 //
 // Every --flag also accepts the --flag=value spelling.
@@ -111,7 +110,7 @@ void PrintUsage() {
       "                    [--seed N] [--threads N] [--legalize-threads N]\n"
       "                    [--legalize-window N] [--out-pl F] [--out-svg F]\n"
       "                    [--out-thermal-svg F] [--report] [--no-fea]\n"
-      "                    [--fea-per-pass] [--fea-precond jacobi|ic0|multigrid]\n"
+      "                    [--fea-per-pass] [--fea-precond jacobi|ic0]\n"
       "                    [--trace F] [--metrics F] [--blackbox F]\n"
       "                    [--audit off|phase|paranoid] [--quiet]");
 }
@@ -246,8 +245,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
         args->fea_precond = p3d::linalg::PreconditionerKind::kJacobi;
       } else if (kind == "ic0") {
         args->fea_precond = p3d::linalg::PreconditionerKind::kIc0;
-      } else if (kind == "multigrid") {
-        args->fea_precond = p3d::linalg::PreconditionerKind::kMultigrid;
       } else {
         std::fprintf(stderr, "bad --fea-precond kind: %s\n", v);
         return false;
