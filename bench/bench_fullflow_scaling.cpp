@@ -13,16 +13,24 @@
 //                REPRO_SCALE=1 SCALE_TIER=scale1 reproduces the 210k-cell
 //                acceptance run and SCALE_TIER=mega the million-cell one.
 //
+// Each thread count (1, 2, 4, 8, plus min(8, hw) when the host has 5-7
+// hardware threads) runs kReps times and the fastest run counts, so one
+// descheduled run on a shared host cannot fail the gate.
+//
 // Two gates ride on the output (scripts/check_bench_regression.py, baseline
 // bench/baselines/fullflow_scaling.json):
 //   * placements_identical — the determinism contract, end to end. Every
-//     thread count must produce the thread=1 placement TO THE BYTE; the
-//     harness exits non-zero the moment any run drifts.
-//   * scaling_ok — the throughput claim. On hosts with >= 8 hardware
-//     threads the 8-thread full flow must be >= 2.5x faster than serial
-//     (the flow includes serial global-placement work, so the bar is lower
-//     than the coarse-phase-only 3x); smaller hosts pass vacuously, with
-//     hw_threads recording which case applied.
+//     run must produce the thread=1 placement TO THE BYTE; the harness
+//     exits non-zero the moment any run drifts.
+//   * scaling_ok — the throughput claim, checked at min(8, hw) threads:
+//     >= 2.5x at 8 threads (the flow includes serial global-placement work,
+//     so the bar is lower than the coarse-phase-only 3x), and
+//     >= kFloorBelow8 at 4-7 threads, a floor set about 25% below the
+//     median of three runs measured on a 4-vCPU host at the CI setting
+//     (REPRO_FAST=1, default REPRO_SCALE). Hosts with fewer than 4 hardware
+//     threads pass vacuously; hw_threads and gate_threads record which case
+//     applied.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -32,6 +40,10 @@
 #include "bench_common.h"
 
 namespace {
+
+constexpr int kReps = 3;
+constexpr double kFloor8 = 2.5;
+constexpr double kFloorBelow8 = 1.75;
 
 p3d::io::SyntheticSpec TierSpec() {
   std::string tier = "lite";
@@ -58,7 +70,11 @@ int main() {
   const p3d::place::PlacerParams base_params = p3d::bench::BaseParams();
 
   const int hw_threads = static_cast<int>(std::thread::hardware_concurrency());
-  const std::vector<int> thread_counts = {1, 2, 4, 8};
+  const int gate_threads = std::min(8, hw_threads);
+  std::vector<int> thread_counts = {1, 2, 4, 8};
+  if (gate_threads > 4 && gate_threads < 8) {
+    thread_counts.insert(thread_counts.end() - 1, gate_threads);
+  }
 
   std::printf("%-8s %-9s %-8s %-10s %-10s %-11s %-10s %-10s\n", "tier",
               "cells", "threads", "global_s", "coarse_s", "detailed_s",
@@ -66,50 +82,58 @@ int main() {
   std::vector<double> totals;
   p3d::place::Placement reference;
   bool all_identical = true;
+  double gate_total = 0.0;
   for (const int threads : thread_counts) {
     p3d::place::PlacerParams params = base_params;
     params.threads = threads;
-    params.legalize_threads = threads;
-    const p3d::place::PlacementResult result =
-        p3d::bench::RunPlacer(nl, params, /*with_fea=*/false);
-    totals.push_back(result.t_total);
-
+    p3d::place::PlacementResult best;
     bool identical = true;
-    if (threads == thread_counts.front()) {
-      reference = result.placement;
-    } else {
-      identical = result.placement.x == reference.x &&
-                  result.placement.y == reference.y &&
-                  result.placement.layer == reference.layer;
-      all_identical = all_identical && identical;
+    for (int rep = 0; rep < kReps; ++rep) {
+      p3d::place::PlacementResult result =
+          p3d::bench::RunPlacer(nl, params, /*with_fea=*/false);
+      if (threads == thread_counts.front() && rep == 0) {
+        reference = result.placement;
+      } else {
+        identical = identical && result.placement.x == reference.x &&
+                    result.placement.y == reference.y &&
+                    result.placement.layer == reference.layer;
+      }
+      if (rep == 0 || result.t_total < best.t_total) best = std::move(result);
     }
+    all_identical = all_identical && identical;
+    totals.push_back(best.t_total);
+    if (threads == gate_threads) gate_total = best.t_total;
     std::printf("%-8s %-9d %-8d %-10.3f %-10.3f %-11.3f %-10.3f %-10s\n",
-                spec.name.c_str(), nl.NumCells(), threads, result.t_global,
-                result.t_coarse, result.t_detailed, result.t_total,
+                spec.name.c_str(), nl.NumCells(), threads, best.t_global,
+                best.t_coarse, best.t_detailed, best.t_total,
                 identical ? "yes" : "NO");
     std::fflush(stdout);
     setup.Row({{"tier", spec.name},
                {"cells", nl.NumCells()},
                {"threads", threads},
-               {"global_s", result.t_global},
-               {"coarse_s", result.t_coarse},
-               {"detailed_s", result.t_detailed},
-               {"total_s", result.t_total},
-               {"legal", result.legal},
+               {"global_s", best.t_global},
+               {"coarse_s", best.t_coarse},
+               {"detailed_s", best.t_detailed},
+               {"total_s", best.t_total},
+               {"legal", best.legal},
                {"identical", identical}});
   }
 
   const double speedup_8t =
       totals.back() > 0.0 ? totals.front() / totals.back() : 0.0;
-  // The >= 2.5x-at-8-threads acceptance only means something when the host
-  // actually has 8 hardware threads to run on.
-  const bool scaling_ok = hw_threads < 8 || speedup_8t >= 2.5;
-  std::printf("\n# full-flow speedup at 8 threads: %.2fx (hw threads: %d)  "
-              "placements %s\n",
-              speedup_8t, hw_threads,
+  const double speedup_gate =
+      gate_total > 0.0 ? totals.front() / gate_total : 0.0;
+  const double floor = gate_threads >= 8 ? kFloor8 : kFloorBelow8;
+  const bool scaling_ok = hw_threads < 4 || speedup_gate >= floor;
+  std::printf("\n# full-flow speedup at 8 threads: %.2fx; at %d threads: "
+              "%.2fx (floor %.2fx, hw threads: %d)  placements %s\n",
+              speedup_8t, gate_threads, speedup_gate, floor, hw_threads,
               all_identical ? "byte-identical" : "DIFFER (BUG)");
   setup.Row({{"hw_threads", hw_threads},
+             {"gate_threads", gate_threads},
              {"fullflow_speedup_8t", speedup_8t},
+             {"fullflow_speedup_gate", speedup_gate},
+             {"speedup_floor", floor},
              {"placements_identical", all_identical},
              {"scaling_ok", scaling_ok}});
   setup.recorder.Flush();

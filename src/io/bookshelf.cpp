@@ -1,12 +1,14 @@
 #include "io/bookshelf.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <unordered_map>
 
 #include "util/log.h"
+#include "util/parse.h"
 
 namespace p3d::io {
 namespace {
@@ -29,25 +31,67 @@ std::vector<std::string> Tokenize(const std::string& line) {
   return tokens;
 }
 
-/// Reads the next non-empty, non-comment, non-header line.
-bool NextDataLine(std::istream& in, std::string* out) {
-  std::string line;
-  while (std::getline(in, line)) {
-    line = CleanLine(line);
-    if (line.empty()) continue;
-    if (line.rfind("UCLA", 0) == 0) continue;  // format header
-    *out = line;
-    return true;
-  }
-  return false;
-}
+/// Walks the data lines of one Bookshelf file (skipping blanks, comments
+/// and the UCLA header) and parses their numeric tokens strictly: a token
+/// that is not wholly a finite number in range is a kParseError naming the
+/// file and line, never a silent 0 or NaN.
+class LineReader {
+ public:
+  LineReader(std::istream& in, const std::string& path)
+      : in_(in), path_(path) {}
 
-bool ParseKeyCountLine(const std::string& line, const char* key,
-                       std::int64_t* value) {
-  const auto tokens = Tokenize(line);
-  if (tokens.size() < 3 || tokens[0] != key || tokens[1] != ":") return false;
-  *value = std::atoll(tokens[2].c_str());
-  return true;
+  /// Reads the next data line into line(); false at end of file.
+  bool Next() {
+    std::string raw;
+    while (std::getline(in_, raw)) {
+      ++line_no_;
+      line_ = CleanLine(raw);
+      if (line_.empty()) continue;
+      if (line_.rfind("UCLA", 0) == 0) continue;  // format header
+      return true;
+    }
+    return false;
+  }
+  const std::string& line() const { return line_; }
+
+  util::Status Error(const std::string& what) const {
+    return util::ParseError("bookshelf: " + path_ + ":" +
+                            std::to_string(line_no_) + ": " + what);
+  }
+
+  /// A finite number no smaller than `min` (exclusive when `strict`).
+  util::Status Number(const std::string& token, const char* what, double* out,
+                      double min = -std::numeric_limits<double>::infinity(),
+                      bool strict = false) const {
+    const auto v = util::ParseFiniteDouble(token);
+    if (!v || *v < min || (strict && *v == min)) {
+      return Error(std::string("bad ") + what + " '" + token + "'");
+    }
+    *out = *v;
+    return util::Status::Ok();
+  }
+
+  /// An integer in [lo, hi].
+  template <typename Int>
+  util::Status Integer(const std::string& token, const char* what, Int* out,
+                       long long lo = 0,
+                       long long hi = std::numeric_limits<Int>::max()) const {
+    const auto v = util::ParseInteger(token, lo, hi);
+    if (!v) return Error(std::string("bad ") + what + " '" + token + "'");
+    *out = static_cast<Int>(*v);
+    return util::Status::Ok();
+  }
+
+ private:
+  std::istream& in_;
+  const std::string& path_;
+  std::string line_;
+  long long line_no_ = 0;
+};
+
+/// True when `tokens` is a "key : N" header line.
+bool IsKeyLine(const std::vector<std::string>& tokens, const char* key) {
+  return tokens.size() >= 3 && tokens[0] == key && tokens[1] == ":";
 }
 
 // Maps cell names to ids while parsing .nets / .pl.
@@ -74,32 +118,45 @@ util::Status ParseNodesFile(const std::string& path, double unit_m,
   if (!in) {
     return util::IoError("bookshelf: cannot open nodes file " + path);
   }
-  std::string line;
-  std::int64_t num_nodes = -1, num_terminals = 0;
-  while (NextDataLine(in, &line)) {
-    std::int64_t v;
-    if (ParseKeyCountLine(line, "NumNodes", &v)) {
-      num_nodes = v;
+  LineReader reader(in, path);
+  std::int64_t num_nodes = -1;
+  while (reader.Next()) {
+    const auto tokens = Tokenize(reader.line());
+    if (IsKeyLine(tokens, "NumNodes")) {
+      if (util::Status s = reader.Integer(tokens[2], "NumNodes", &num_nodes);
+          !s.ok())
+        return s;
       continue;
     }
-    if (ParseKeyCountLine(line, "NumTerminals", &v)) {
-      num_terminals = v;
+    if (IsKeyLine(tokens, "NumTerminals")) {
+      std::int64_t num_terminals = 0;
+      if (util::Status s =
+              reader.Integer(tokens[2], "NumTerminals", &num_terminals);
+          !s.ok())
+        return s;
       continue;
     }
-    const auto tokens = Tokenize(line);
     if (tokens.size() < 3) {
-      return util::ParseError("bookshelf: bad nodes line in " + path + ": " +
-                              line);
+      return reader.Error("bad nodes line: " + reader.line());
     }
+    // Movable cells need a positive footprint; terminals (pads) may be
+    // zero-sized.
     const bool terminal = tokens.size() >= 4 && tokens[3] == "terminal";
-    nl->AddCell(tokens[0], std::atof(tokens[1].c_str()) * unit_m,
-                std::atof(tokens[2].c_str()) * unit_m, terminal);
+    double width = 0.0, height = 0.0;
+    if (util::Status s = reader.Number(tokens[1], "cell width", &width, 0.0,
+                                       /*strict=*/!terminal);
+        !s.ok())
+      return s;
+    if (util::Status s = reader.Number(tokens[2], "cell height", &height, 0.0,
+                                       /*strict=*/!terminal);
+        !s.ok())
+      return s;
+    nl->AddCell(tokens[0], width * unit_m, height * unit_m, terminal);
   }
   if (num_nodes >= 0 && nl->NumCells() != num_nodes) {
     util::LogWarn("bookshelf: NumNodes=%lld but parsed %d cells",
                   static_cast<long long>(num_nodes), nl->NumCells());
   }
-  (void)num_terminals;
   return util::Status::Ok();
 }
 
@@ -110,28 +167,33 @@ util::Status ParseNetsFile(const std::string& path, double unit_m,
     return util::IoError("bookshelf: cannot open nets file " + path);
   }
   const auto name_index = BuildNameIndex(*nl);
-  std::string line;
+  LineReader reader(in, path);
   std::int64_t expected_nets = -1, expected_pins = -1;
   std::int64_t pins_parsed = 0;
   std::int32_t pins_remaining = 0;
-  while (NextDataLine(in, &line)) {
-    std::int64_t v;
-    if (ParseKeyCountLine(line, "NumNets", &v)) {
-      expected_nets = v;
+  while (reader.Next()) {
+    const auto tokens = Tokenize(reader.line());
+    if (IsKeyLine(tokens, "NumNets")) {
+      if (util::Status s = reader.Integer(tokens[2], "NumNets", &expected_nets);
+          !s.ok())
+        return s;
       continue;
     }
-    if (ParseKeyCountLine(line, "NumPins", &v)) {
-      expected_pins = v;
+    if (IsKeyLine(tokens, "NumPins")) {
+      if (util::Status s = reader.Integer(tokens[2], "NumPins", &expected_pins);
+          !s.ok())
+        return s;
       continue;
     }
-    auto tokens = Tokenize(line);
     if (tokens[0] == "NetDegree") {
       // "NetDegree : d [name]"
       if (tokens.size() < 3) {
-        return util::ParseError("bookshelf: bad NetDegree line in " + path +
-                                ": " + line);
+        return reader.Error("bad NetDegree line: " + reader.line());
       }
-      pins_remaining = std::atoi(tokens[2].c_str());
+      if (util::Status s =
+              reader.Integer(tokens[2], "NetDegree", &pins_remaining);
+          !s.ok())
+        return s;
       const std::string net_name =
           tokens.size() >= 4 ? tokens[3]
                              : "net" + std::to_string(nl->NumNets());
@@ -140,13 +202,11 @@ util::Status ParseNetsFile(const std::string& path, double unit_m,
     }
     // Pin line: "cellname I|O|B [: xoff yoff]"
     if (pins_remaining <= 0) {
-      return util::ParseError("bookshelf: pin line outside a net in " + path +
-                              ": " + line);
+      return reader.Error("pin line outside a net: " + reader.line());
     }
     const auto it = name_index.find(tokens[0]);
     if (it == name_index.end()) {
-      return util::ParseError("bookshelf: pin references unknown cell " +
-                              tokens[0] + " in " + path);
+      return reader.Error("pin references unknown cell " + tokens[0]);
     }
     netlist::PinDir dir = netlist::PinDir::kInput;
     std::size_t next = 1;
@@ -156,13 +216,15 @@ util::Status ParseNetsFile(const std::string& path, double unit_m,
       next = 2;
     }
     double dx = 0.0, dy = 0.0;
-    if (tokens.size() > next && tokens[next] == ":") {
-      if (tokens.size() >= next + 3) {
-        dx = std::atof(tokens[next + 1].c_str()) * unit_m;
-        dy = std::atof(tokens[next + 2].c_str()) * unit_m;
-      }
+    if (tokens.size() >= next + 3 && tokens[next] == ":") {
+      if (util::Status s = reader.Number(tokens[next + 1], "pin x offset", &dx);
+          !s.ok())
+        return s;
+      if (util::Status s = reader.Number(tokens[next + 2], "pin y offset", &dy);
+          !s.ok())
+        return s;
     }
-    nl->AddPin(it->second, dir, dx, dy);
+    nl->AddPin(it->second, dir, dx * unit_m, dy * unit_m);
     --pins_remaining;
     ++pins_parsed;
   }
@@ -189,9 +251,9 @@ util::Status ParsePlFile(const std::string& path, double unit_m,
   x->assign(static_cast<std::size_t>(nl.NumCells()), 0.0);
   y->assign(static_cast<std::size_t>(nl.NumCells()), 0.0);
   layer->assign(static_cast<std::size_t>(nl.NumCells()), 0);
-  std::string line;
-  while (NextDataLine(in, &line)) {
-    const auto tokens = Tokenize(line);
+  LineReader reader(in, path);
+  while (reader.Next()) {
+    const auto tokens = Tokenize(reader.line());
     if (tokens.size() < 3) continue;
     const auto it = name_index.find(tokens[0]);
     if (it == name_index.end()) {
@@ -200,12 +262,25 @@ util::Status ParsePlFile(const std::string& path, double unit_m,
       continue;
     }
     const std::size_t c = static_cast<std::size_t>(it->second);
-    (*x)[c] = std::atof(tokens[1].c_str()) * unit_m;
-    (*y)[c] = std::atof(tokens[2].c_str()) * unit_m;
-    // Optional ": orientation [layer]" suffix.
+    double px = 0.0, py = 0.0;
+    if (util::Status s = reader.Number(tokens[1], "x coordinate", &px);
+        !s.ok())
+      return s;
+    if (util::Status s = reader.Number(tokens[2], "y coordinate", &py);
+        !s.ok())
+      return s;
+    (*x)[c] = px * unit_m;
+    (*y)[c] = py * unit_m;
+    // Optional ": orientation [layer]" suffix; a "/FIXED" flag in the layer
+    // position (plain 2D .pl files) means no layer column.
     for (std::size_t i = 3; i + 1 < tokens.size(); ++i) {
       if (tokens[i] == ":" && i + 2 < tokens.size()) {
-        (*layer)[c] = std::atoi(tokens[i + 2].c_str());
+        if (tokens[i + 2][0] != '/') {
+          if (util::Status s =
+                  reader.Integer(tokens[i + 2], "layer", &(*layer)[c]);
+              !s.ok())
+            return s;
+        }
         break;
       }
     }
@@ -219,13 +294,12 @@ util::Status ParseSclFile(const std::string& path,
   if (!in) {
     return util::IoError("bookshelf: cannot open scl file " + path);
   }
-  std::string line;
+  LineReader reader(in, path);
   BookshelfRow row;
   bool in_row = false;
   double sitewidth = 1.0;
-  while (NextDataLine(in, &line)) {
-    auto tokens = Tokenize(line);
-    if (tokens.empty()) continue;
+  while (reader.Next()) {
+    const auto tokens = Tokenize(reader.line());
     if (tokens[0] == "CoreRow") {
       in_row = true;
       row = BookshelfRow{};
@@ -238,21 +312,29 @@ util::Status ParseSclFile(const std::string& path,
       in_row = false;
       continue;
     }
-    if (tokens.size() >= 3 && tokens[1] == ":") {
-      const double v = std::atof(tokens[2].c_str());
-      if (tokens[0] == "Coordinate") row.y = v;
-      else if (tokens[0] == "Height") row.height = v;
-      else if (tokens[0] == "Sitewidth") sitewidth = v;
-      else if (tokens[0] == "SubrowOrigin") {
-        row.x = v;
-        // "SubrowOrigin : x NumSites : n"
-        for (std::size_t i = 3; i + 2 < tokens.size(); ++i) {
-          if (tokens[i] == "NumSites" && tokens[i + 1] == ":") {
-            row.width = std::atof(tokens[i + 2].c_str()) * sitewidth;
-          }
+    if (tokens.size() < 3 || tokens[1] != ":") continue;
+    // Only the numeric fields are read; Siteorient, Sitesymmetry and the
+    // like carry letters and are skipped.
+    util::Status s;
+    if (tokens[0] == "Coordinate") {
+      s = reader.Number(tokens[2], "Coordinate", &row.y);
+    } else if (tokens[0] == "Height") {
+      s = reader.Number(tokens[2], "Height", &row.height, 0.0, /*strict=*/true);
+    } else if (tokens[0] == "Sitewidth") {
+      s = reader.Number(tokens[2], "Sitewidth", &sitewidth, 0.0,
+                        /*strict=*/true);
+    } else if (tokens[0] == "SubrowOrigin") {
+      s = reader.Number(tokens[2], "SubrowOrigin", &row.x);
+      // "SubrowOrigin : x NumSites : n"
+      for (std::size_t i = 3; s.ok() && i + 2 < tokens.size(); ++i) {
+        if (tokens[i] == "NumSites" && tokens[i + 1] == ":") {
+          double sites = 0.0;
+          s = reader.Number(tokens[i + 2], "NumSites", &sites, 0.0);
+          row.width = sites * sitewidth;
         }
       }
     }
+    if (!s.ok()) return s;
   }
   return util::Status::Ok();
 }
@@ -265,9 +347,9 @@ util::Status LoadBookshelf(const std::string& aux_path, double unit_m,
   }
   const std::string dir = DirName(aux_path);
   std::string nodes, nets, pl, scl;
-  std::string line;
-  while (NextDataLine(in, &line)) {
-    for (const std::string& tok : Tokenize(line)) {
+  LineReader reader(in, aux_path);
+  while (reader.Next()) {
+    for (const std::string& tok : Tokenize(reader.line())) {
       if (tok.ends_with(".nodes")) nodes = dir + "/" + tok;
       else if (tok.ends_with(".nets")) nets = dir + "/" + tok;
       else if (tok.ends_with(".pl")) pl = dir + "/" + tok;

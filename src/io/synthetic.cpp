@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "util/log.h"
 #include "util/rng.h"
@@ -16,6 +18,10 @@ struct Table1Row {
   std::int32_t cells;
   double area_mm2;
 };
+
+// 100x the largest circuit is ~21M cells, far below the int32 cell-count
+// limit.
+constexpr double kMaxTable1Scale = 100.0;
 
 // Verbatim from the paper's Table 1 (Benchmark Circuits).
 constexpr Table1Row kTable1[] = {
@@ -61,9 +67,21 @@ std::int32_t SampleWindow(util::Rng& rng, std::int32_t num_cells,
   return std::min(w, num_cells);
 }
 
+/// Throws std::invalid_argument unless `scale` is a usable Table 1 scale:
+/// finite, positive, and small enough that every cell count fits an int32.
+void CheckTable1Scale(double scale) {
+  if (!(scale > 0.0 && scale <= kMaxTable1Scale)) {
+    std::ostringstream msg;
+    msg << "Table 1 scale must be in (0, " << kMaxTable1Scale << "], got "
+        << scale;
+    throw std::invalid_argument(msg.str());
+  }
+}
+
 }  // namespace
 
 std::vector<SyntheticSpec> Table1Specs(double scale) {
+  CheckTable1Scale(scale);
   std::vector<SyntheticSpec> specs;
   specs.reserve(std::size(kTable1));
   std::uint64_t seed = 1;
@@ -74,6 +92,7 @@ std::vector<SyntheticSpec> Table1Specs(double scale) {
 }
 
 SyntheticSpec Table1Spec(const std::string& name, double scale) {
+  CheckTable1Scale(scale);
   std::uint64_t seed = 1;
   for (const Table1Row& row : kTable1) {
     if (name == row.name) return SpecFromRow(row, scale, seed);

@@ -41,10 +41,12 @@ struct SyntheticSpec {
 };
 
 /// Table 1 of the paper: name, cell count, and cell area (mm^2) of
-/// ibm01..ibm18. `scale` multiplies both cell count and area.
+/// ibm01..ibm18. `scale` multiplies both cell count and area; it must be
+/// finite and in (0, 100], else std::invalid_argument.
 std::vector<SyntheticSpec> Table1Specs(double scale = 1.0);
 
-/// Returns the spec of a single Table 1 circuit ("ibm01".."ibm18").
+/// Returns the spec of a single Table 1 circuit ("ibm01".."ibm18"). Throws
+/// std::invalid_argument on an unknown name or a scale Table1Specs rejects.
 SyntheticSpec Table1Spec(const std::string& name, double scale = 1.0);
 
 /// The scale tier: fixed-size presets for full-flow scaling work, sized

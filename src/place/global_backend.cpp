@@ -7,21 +7,6 @@
 
 namespace p3d::place {
 
-const char* GlobalBackendName(GlobalBackend kind) {
-  switch (kind) {
-    case GlobalBackend::kBisection:
-      return "bisection";
-  }
-  return "unknown";
-}
-
-util::StatusOr<GlobalBackend> ParseGlobalBackend(std::string_view name) {
-  if (name == "bisection") return GlobalBackend::kBisection;
-  return util::InvalidArgumentError("unknown global-placement backend '" +
-                                    std::string(name) +
-                                    "' (valid: bisection)");
-}
-
 util::StatusOr<std::unique_ptr<GlobalPlacerBackend>> MakeGlobalPlacerBackend(
     GlobalBackend kind, const ObjectiveEvaluator& eval) {
   switch (kind) {
@@ -32,11 +17,6 @@ util::StatusOr<std::unique_ptr<GlobalPlacerBackend>> MakeGlobalPlacerBackend(
   return util::InvalidArgumentError(
       "MakeGlobalPlacerBackend: out-of-range GlobalBackend value " +
       std::to_string(static_cast<int>(kind)));
-}
-
-util::StatusOr<std::unique_ptr<GlobalPlacerBackend>> MakeGlobalPlacerBackend(
-    const ObjectiveEvaluator& eval) {
-  return MakeGlobalPlacerBackend(eval.params().global_backend, eval);
 }
 
 }  // namespace p3d::place

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <memory>
-#include <string_view>
 
 #include "place/chip.h"
 #include "place/params.h"
@@ -33,7 +32,7 @@ struct BisectionDetail {
 
 /// Global-placement statistics with the backend's detail payload.
 struct GlobalPlaceStats {
-  const char* backend = "";    // GlobalBackendName of the engine that ran
+  const char* backend = "";    // name() of the engine that ran
   int iterations = 0;          // bisection levels
   long long cells_placed = 0;  // movable cells the backend positioned
 
@@ -61,21 +60,9 @@ class GlobalPlacerBackend {
   virtual const GlobalPlaceStats& stats() const = 0;
 };
 
-/// Returns "bisection".
-const char* GlobalBackendName(GlobalBackend kind);
-
-/// Parses a backend name as spelled by --global-backend / the jobs manifest.
-/// Unknown names error with kInvalidArgument listing the valid spellings.
-util::StatusOr<GlobalBackend> ParseGlobalBackend(std::string_view name);
-
 /// Constructs the backend `kind` over `eval` (which must outlive it). Errors
-/// with kInvalidArgument on an out-of-range enum value (e.g. a cast from a
-/// corrupted manifest).
+/// with kInvalidArgument on an out-of-range enum value.
 util::StatusOr<std::unique_ptr<GlobalPlacerBackend>> MakeGlobalPlacerBackend(
     GlobalBackend kind, const ObjectiveEvaluator& eval);
-
-/// Convenience: the backend selected by eval.params().global_backend.
-util::StatusOr<std::unique_ptr<GlobalPlacerBackend>> MakeGlobalPlacerBackend(
-    const ObjectiveEvaluator& eval);
 
 }  // namespace p3d::place

@@ -70,9 +70,7 @@ MoveSwapStats MoveSwapOptimizer::RunPass(bool global, int target_region_bins,
     window_cells[static_cast<std::size_t>(w)].push_back(cell);
   }
 
-  const int threads =
-      params.legalize_threads > 0 ? params.legalize_threads : params.threads;
-  runtime::ThreadPool* pool = runtime::SharedPool(threads);
+  runtime::ThreadPool* pool = runtime::SharedPool(params.threads);
   const std::size_t num_slots =
       static_cast<std::size_t>(pool != nullptr ? pool->NumThreads() : 1);
 

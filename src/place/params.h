@@ -69,6 +69,12 @@ inline constexpr bool BeatsIncumbent(double delta, double incumbent) {
   return delta < incumbent - kTieBreakEps;
 }
 
+/// Upper bounds Placer3D::Create enforces on PlacerParams, set far above real
+/// use (the paper stacks at most 10 layers) so a typo cannot ask for a
+/// hundred thousand layers or start thousands of OS threads.
+inline constexpr int kMaxLayers = 64;
+inline constexpr int kMaxThreads = 512;
+
 /// Which engine runs the global-placement phase. Backends are constructed by
 /// MakeGlobalPlacerBackend (place/global_backend.h).
 enum class GlobalBackend {
@@ -104,7 +110,8 @@ struct PlacerParams {
 
   // ----- parallel runtime ----------------------------------------------------
   // Worker threads for multi-start partitioning, per-level bisection
-  // batches, and the FEA conjugate-gradient solve (0 = all hardware
+  // batches, the windowed move engines (moveswap, shift, rowopt, detailed
+  // legalization), and the FEA conjugate-gradient solve (0 = all hardware
   // threads). Determinism contract: same seed + same inputs produce an
   // identical placement for ANY value of this knob — see src/runtime and
   // DESIGN.md "Parallel runtime & determinism policy".
@@ -124,9 +131,8 @@ struct PlacerParams {
   // legalize_window_bins windows, 4-colored by window parity; windows of one
   // color propose moves in parallel against a frozen snapshot and the
   // proposals commit serially in fixed window order, so the placement is
-  // byte-identical for any thread count (DESIGN.md §5).
-  int legalize_threads = 0;      // worker threads for coarse legalization
-                                 // (0 = inherit `threads`)
+  // byte-identical for any thread count (DESIGN.md §5). The four windowed
+  // engines run on `threads` workers.
   int legalize_window_bins = 8;  // window edge length, in bins (min 2)
 
   // ----- detailed legalization ---------------------------------------------
@@ -138,15 +144,6 @@ struct PlacerParams {
   // propose/commit protocol as the coarse engines — placements stay
   // byte-identical for any thread count (DESIGN.md §5).
   int legalize_window_rows = 32;
-
-  // ----- evaluator caching ---------------------------------------------------
-  // Maintain per-net bounding boxes with boundary-pin counts so candidate
-  // move/swap evaluations update only the moved pins (O(1) per pin) instead
-  // of re-scanning every pin of every incident net. The incremental bounds
-  // are exact (min/max arithmetic, never accumulated), so the placement is
-  // byte-identical with the kernel on or off; the off setting exists as a
-  // cross-check for tests and triage.
-  bool incremental_net_boxes = true;
 
   // ----- verification ---------------------------------------------------------
   AuditLevel audit_level = AuditLevel::kOff;

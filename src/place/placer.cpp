@@ -1,6 +1,7 @@
 #include "place/placer.h"
 
 #include <cmath>
+#include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -142,6 +143,18 @@ util::StatusOr<Placer3D> Placer3D::Create(const netlist::Netlist& nl,
     return util::FailedPreconditionError(
         "Placer3D::Create: netlist is not finalized");
   }
+  if (params.num_layers > kMaxLayers) {
+    return util::InvalidArgumentError(
+        "Placer3D::Create: num_layers must be <= " +
+        std::to_string(kMaxLayers) + ", got " +
+        std::to_string(params.num_layers));
+  }
+  if (params.threads < 0 || params.threads > kMaxThreads) {
+    return util::InvalidArgumentError(
+        "Placer3D::Create: threads must be in [0, " +
+        std::to_string(kMaxThreads) + "], got " +
+        std::to_string(params.threads));
+  }
   const PlacerParams synced = Synced(params);
   util::StatusOr<Chip> chip = Chip::Build(
       nl, synced.num_layers, synced.whitespace, synced.inter_row_space);
@@ -221,7 +234,6 @@ util::StatusOr<PlacementResult> Placer3D::Run(const RunOptions& options) {
     util::LogDebug("pass thermal (%s): max %.2f C, avg %.2f C (%d iters)",
                    pass, ft.max_cell_temp, ft.avg_cell_temp, ft.cg_iters);
   };
-  const ObjectiveEvaluator::EvalStats eval_stats_before = eval_->eval_stats();
 
   // --- global placement ---------------------------------------------------
   util::Timer t;
@@ -338,15 +350,6 @@ util::StatusOr<PlacementResult> Placer3D::Run(const RunOptions& options) {
   result.fea_cg_iters = fea.iters();
   result.fea_nonconverged = fea.nonconverged();
   result.t_total = total.Seconds();
-
-  // Evaluator-cache accounting for this run (deltas: the evaluator's
-  // counters are cumulative across Run calls).
-  const ObjectiveEvaluator::EvalStats eval_stats_after = eval_->eval_stats();
-  obs::MetricAdd("solver/netbox_incremental_evals",
-                 eval_stats_after.incremental_evals -
-                     eval_stats_before.incremental_evals);
-  obs::MetricAdd("solver/netbox_rescan_evals",
-                 eval_stats_after.rescan_evals - eval_stats_before.rescan_evals);
 
   util::LogInfo(
       "placer done: hpwl %.4g m, ilv %lld, power %.4g W, %s obj %.4g "

@@ -82,9 +82,7 @@ RowOptStats RowRefiner::Run(int passes) {
   const int window_rows = std::max(1, params.legalize_window_rows);
   const WindowTiling tiling(num_rows, 1, window_rows);
 
-  const int threads =
-      params.legalize_threads > 0 ? params.legalize_threads : params.threads;
-  runtime::ThreadPool* pool = runtime::SharedPool(threads);
+  runtime::ThreadPool* pool = runtime::SharedPool(params.threads);
   const std::size_t num_slots =
       static_cast<std::size_t>(pool != nullptr ? pool->NumThreads() : 1);
   const std::size_t num_windows = static_cast<std::size_t>(tiling.NumWindows());
@@ -265,7 +263,6 @@ RowOptStats RowRefiner::Run(int passes) {
     DeltaView& view = views[static_cast<std::size_t>(slot)];
     std::vector<SwapProp>& props = swap_props[static_cast<std::size_t>(w)];
     props.clear();
-    const Placement& p = eval_.placement();
     // Swaps chain across layer pairs of the same row index, so the window's
     // whole row block is simulated at once.
     const int span = win.x1 - win.x0;

@@ -144,9 +144,7 @@ void CellShifter::SweepAxis(BinGrid& grid, int axis) {
   const int n_v = axis == 2 ? grid.ny() : grid.nz();
 
   const PlacerParams& params = eval_.params();
-  const int threads =
-      params.legalize_threads > 0 ? params.legalize_threads : params.threads;
-  runtime::ThreadPool* pool = runtime::SharedPool(threads);
+  runtime::ThreadPool* pool = runtime::SharedPool(params.threads);
   const std::size_t num_slots =
       static_cast<std::size_t>(pool != nullptr ? pool->NumThreads() : 1);
 

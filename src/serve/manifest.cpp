@@ -1,13 +1,16 @@
 #include "serve/manifest.h"
 
+#include <algorithm>
+#include <cmath>
 #include <exception>
 #include <fstream>
+#include <span>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "io/synthetic.h"
 #include "obs/json.h"
-#include "place/global_backend.h"
 #include "place/params.h"
 #include "runtime/stream.h"
 
@@ -24,10 +27,42 @@ const obs::JsonValue* Lookup(const obs::JsonValue& job,
 }
 
 util::Status FieldTypeError(std::size_t job_index, const std::string& key,
-                            const char* want) {
+                            const std::string& want) {
   return util::ParseError("jobs manifest: job " + std::to_string(job_index) +
                           ": field '" + key + "' must be a " + want);
 }
+
+/// The document's own keys, and every field a job or `defaults` may set
+/// (documented in manifest.h).
+constexpr std::string_view kDocumentFields[] = {"schema", "version", "seed",
+                                                "defaults", "jobs"};
+constexpr std::string_view kJobFields[] = {
+    "name",     "circuit",  "scale",         "layers",
+    "alpha_ilv", "alpha_temp", "seed",       "priority",
+    "threads",  "with_fea", "fea_per_phase", "fea_per_pass",
+    "start_deadline_s",
+};
+
+/// The first key of `obj` outside `fields`, or nullptr.
+const std::string* UnknownField(const obs::JsonValue& obj,
+                                std::span<const std::string_view> fields) {
+  for (const auto& [key, value] : obj.AsObject()) {
+    if (std::ranges::find(fields, key) == fields.end()) return &key;
+  }
+  return nullptr;
+}
+
+/// True when `v` is a whole number in [lo, hi]; checked before any cast to
+/// an integer type, which is undefined for out-of-range doubles.
+bool IsIntegerIn(const obs::JsonValue& v, double lo, double hi) {
+  if (!v.is_number()) return false;
+  const double x = v.AsNumber();
+  return x >= lo && x <= hi && std::floor(x) == x;
+}
+
+// Seeds are cast to uint64; 2^63 keeps every accepted double in range.
+constexpr double kMaxSeed = 9223372036854775808.0;
+constexpr double kMaxPriority = 1e6;
 
 }  // namespace
 
@@ -48,14 +83,18 @@ util::StatusOr<JobsManifest> ParseJobsManifest(const std::string& text) {
   }
   const obs::JsonValue* version = doc.Find("version");
   if (version == nullptr || !version->is_number() ||
-      static_cast<int>(version->AsNumber()) != kJobsManifestVersion) {
+      version->AsNumber() != kJobsManifestVersion) {
     return util::ParseError("jobs manifest: unsupported version");
+  }
+  if (const std::string* key = UnknownField(doc, kDocumentFields)) {
+    return util::ParseError("jobs manifest: unknown field '" + *key + "'");
   }
 
   JobsManifest manifest;
   if (const obs::JsonValue* seed = doc.Find("seed")) {
-    if (!seed->is_number()) {
-      return util::ParseError("jobs manifest: 'seed' must be a number");
+    if (!IsIntegerIn(*seed, 0.0, kMaxSeed)) {
+      return util::ParseError(
+          "jobs manifest: 'seed' must be a non-negative integer");
     }
     manifest.base_seed = static_cast<std::uint64_t>(seed->AsNumber());
   }
@@ -63,6 +102,12 @@ util::StatusOr<JobsManifest> ParseJobsManifest(const std::string& text) {
   const obs::JsonValue* defaults = doc.Find("defaults");
   if (defaults != nullptr && !defaults->is_object()) {
     return util::ParseError("jobs manifest: 'defaults' must be an object");
+  }
+  if (defaults != nullptr) {
+    if (const std::string* key = UnknownField(*defaults, kJobFields)) {
+      return util::ParseError("jobs manifest: defaults: unknown field '" +
+                              *key + "'");
+    }
   }
 
   const obs::JsonValue* jobs = doc.Find("jobs");
@@ -80,6 +125,10 @@ util::StatusOr<JobsManifest> ParseJobsManifest(const std::string& text) {
       return util::ParseError("jobs manifest: job " + std::to_string(i) +
                               " is not an object");
     }
+    if (const std::string* key = UnknownField(jv, kJobFields)) {
+      return util::ParseError("jobs manifest: job " + std::to_string(i) +
+                              ": unknown field '" + *key + "'");
+    }
 
     std::string circuit = "ibm01";
     double scale = 0.05;
@@ -95,13 +144,17 @@ util::StatusOr<JobsManifest> ParseJobsManifest(const std::string& text) {
       circuit = v->AsString();
     }
     if (const auto* v = Lookup(jv, defaults, "scale")) {
-      if (!v->is_number() || v->AsNumber() <= 0.0) {
+      if (!v->is_number() || !(v->AsNumber() > 0.0)) {
         return FieldTypeError(i, "scale", "positive number");
       }
       scale = v->AsNumber();
     }
     if (const auto* v = Lookup(jv, defaults, "layers")) {
-      if (!v->is_number()) return FieldTypeError(i, "layers", "number");
+      if (!IsIntegerIn(*v, 1, place::kMaxLayers)) {
+        return FieldTypeError(
+            i, "layers",
+            "integer in [1, " + std::to_string(place::kMaxLayers) + "]");
+      }
       spec.params.num_layers = static_cast<int>(v->AsNumber());
     }
     if (const auto* v = Lookup(jv, defaults, "alpha_ilv")) {
@@ -112,26 +165,24 @@ util::StatusOr<JobsManifest> ParseJobsManifest(const std::string& text) {
       if (!v->is_number()) return FieldTypeError(i, "alpha_temp", "number");
       spec.params.alpha_temp = v->AsNumber();
     }
-    if (const auto* v = Lookup(jv, defaults, "global_backend")) {
-      if (!v->is_string()) return FieldTypeError(i, "global_backend", "string");
-      const auto backend = place::ParseGlobalBackend(v->AsString());
-      if (!backend.ok()) {
-        return util::InvalidArgumentError("jobs manifest: job " +
-                                          std::to_string(i) + ": " +
-                                          backend.status().message());
-      }
-      spec.params.global_backend = *backend;
-    }
     if (const auto* v = Lookup(jv, defaults, "seed")) {
-      if (!v->is_number()) return FieldTypeError(i, "seed", "number");
+      if (!IsIntegerIn(*v, 0.0, kMaxSeed)) {
+        return FieldTypeError(i, "seed", "non-negative integer");
+      }
       spec.params.seed = static_cast<std::uint64_t>(v->AsNumber());
     }
     if (const auto* v = Lookup(jv, defaults, "threads")) {
-      if (!v->is_number()) return FieldTypeError(i, "threads", "number");
+      if (!IsIntegerIn(*v, 0, place::kMaxThreads)) {
+        return FieldTypeError(
+            i, "threads",
+            "integer in [0, " + std::to_string(place::kMaxThreads) + "]");
+      }
       spec.params.threads = static_cast<int>(v->AsNumber());
     }
     if (const auto* v = Lookup(jv, defaults, "priority")) {
-      if (!v->is_number()) return FieldTypeError(i, "priority", "number");
+      if (!IsIntegerIn(*v, -kMaxPriority, kMaxPriority)) {
+        return FieldTypeError(i, "priority", "integer in [-1e6, 1e6]");
+      }
       spec.priority = static_cast<int>(v->AsNumber());
     }
     if (const auto* v = Lookup(jv, defaults, "with_fea")) {
@@ -145,19 +196,6 @@ util::StatusOr<JobsManifest> ParseJobsManifest(const std::string& text) {
     if (const auto* v = Lookup(jv, defaults, "fea_per_pass")) {
       if (!v->is_bool()) return FieldTypeError(i, "fea_per_pass", "bool");
       spec.params.fea_per_pass = v->AsBool();
-    }
-    if (const auto* v = Lookup(jv, defaults, "fea_precond")) {
-      if (!v->is_string()) return FieldTypeError(i, "fea_precond", "string");
-      const std::string& kind = v->AsString();
-      if (kind == "jacobi") {
-        spec.options.preconditioner = linalg::PreconditionerKind::kJacobi;
-      } else if (kind == "ic0") {
-        spec.options.preconditioner = linalg::PreconditionerKind::kIc0;
-      } else {
-        return util::ParseError("jobs manifest: job " + std::to_string(i) +
-                                ": bad fea_precond '" + kind +
-                                "' (want jacobi|ic0)");
-      }
     }
     if (const auto* v = Lookup(jv, defaults, "start_deadline_s")) {
       if (!v->is_number() || v->AsNumber() < 0.0) {

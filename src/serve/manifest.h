@@ -15,11 +15,14 @@
 //   }
 //
 // Per-job fields (each falls back to `defaults`, then to the built-in
-// default): circuit, scale, layers, alpha_ilv, alpha_temp, seed, priority,
-// threads, with_fea, fea_per_phase, fea_per_pass, start_deadline_s,
-// global_backend ("bisection", the default; any other name is a manifest
-// error), and fea_precond ("jacobi" | "ic0", default ic0 — the cached,
-// warm-started IC(0) factor is what makes fea_per_pass affordable).
+// default): name, circuit, scale, layers, alpha_ilv, alpha_temp, seed,
+// priority, threads, with_fea, fea_per_phase, fea_per_pass, and
+// start_deadline_s. Any other key in a job, in `defaults` or at the top
+// level (schema, version, seed, defaults, jobs) is a kParseError naming
+// where it sits and the key, so a misspelled field cannot silently run with
+// the default. layers (1..place::kMaxLayers), threads
+// (0..place::kMaxThreads), priority (|p| <= 1e6) and seed (>= 0) must be
+// whole numbers in range.
 //
 // Determinism: a job without an explicit "seed" gets
 // runtime::DeriveSeed(base_seed, job_index) — a pure function of the

@@ -207,11 +207,11 @@ TEST(Determinism, PlacementByteIdenticalThreads3AndUnderParanoidAudit) {
 }
 
 TEST(Determinism, LegalizeThreadsByteIdentical1Vs3Vs8) {
-  // The windowed coarse-legalization schedule (DESIGN.md §5) has its own
-  // thread knob; vary ONLY that knob (runtime threads pinned to 1) across
-  // 1 / 3 / 8 workers and require the full-flow placement to the byte. The
-  // 8-worker run also carries a paranoid auditor, which replays every
-  // committed move delta — a pure observer that must not shift a byte.
+  // The windowed legalization schedules (DESIGN.md §5) run on `threads`
+  // workers; vary it across 1 / 3 / 8 and require the full-flow placement
+  // to the byte. The 8-worker run also carries a paranoid auditor, which
+  // replays every committed move delta — a pure observer that must not
+  // shift a byte.
   util::ScopedLogLevel quiet(util::LogLevel::kError);
   io::SyntheticSpec spec;
   spec.name = "det";
@@ -225,13 +225,12 @@ TEST(Determinism, LegalizeThreadsByteIdentical1Vs3Vs8) {
   params.alpha_ilv = 1e-5;
   params.partition_starts = 2;
   params.seed = 777;
-  params.threads = 1;
 
-  params.legalize_threads = 1;
+  params.threads = 1;
   place::Placer3D p1(nl, params);
   const place::PlacementResult r1 = *p1.Run({.with_fea = false});
 
-  params.legalize_threads = 3;
+  params.threads = 3;
   place::Placer3D p3(nl, params);
   const place::PlacementResult r3 = *p3.Run({.with_fea = false});
   EXPECT_EQ(r1.placement.x, r3.placement.x);
@@ -239,7 +238,7 @@ TEST(Determinism, LegalizeThreadsByteIdentical1Vs3Vs8) {
   EXPECT_EQ(r1.placement.layer, r3.placement.layer);
   EXPECT_EQ(r1.objective, r3.objective);
 
-  params.legalize_threads = 8;
+  params.threads = 8;
   params.audit_level = place::AuditLevel::kParanoid;
   place::Placer3D p8(nl, params);
   check::PlacementAuditor auditor(nl, params.audit_level);

@@ -3,10 +3,12 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "io/bookshelf.h"
 #include "io/synthetic.h"
 #include "util/log.h"
+#include "util/status.h"
 
 namespace p3d::io {
 namespace {
@@ -214,7 +216,7 @@ TEST_F(BookshelfTest, MalformedInputsDoNotCrash) {
       "NumNodes : -5\n",
       "garbage line\n",
       "a 1\n",                       // too few columns
-      "NumNodes : 1\n a width h\n",  // non-numeric dims -> atof 0
+      "NumNodes : 1\n a width h\n",  // non-numeric dims
   };
   for (const char* content : bad_nodes) {
     WriteFile("bad.nodes", content);
@@ -249,6 +251,71 @@ TEST_F(BookshelfTest, MalformedInputsDoNotCrash) {
   std::vector<BookshelfRow> rows;
   EXPECT_TRUE(ParseSclFile(dir_ + "/bad.scl", &rows).ok());
   EXPECT_TRUE(rows.empty());
+
+  // Every numeric token is parsed strictly: a malformed one is a
+  // kParseError naming the file, the line and the token. -3 is a valid
+  // coordinate or pin offset, but not a cell size, row height or site
+  // width.
+  const auto expect_rejected = [](const util::Status& s,
+                                  const std::string& where,
+                                  const std::string& token) {
+    ASSERT_FALSE(s.ok()) << where << " accepted '" << token << "'";
+    EXPECT_EQ(s.code(), util::StatusCode::kParseError) << s.ToString();
+    EXPECT_NE(s.message().find(where), std::string::npos) << s.message();
+    EXPECT_NE(s.message().find("'" + token + "'"), std::string::npos)
+        << s.message();
+  };
+  for (const std::string v : {"nan", "abc", "-3", "inf", "1e999"}) {
+    const bool valid_signed = v == "-3";
+    for (const std::string& node : {"b " + v + " 1", "b 1 " + v}) {
+      WriteFile("num.nodes", "UCLA nodes 1.0\nNumNodes : 2\na 1 1\n" + node +
+                                 "\n");
+      netlist::Netlist nodes_nl;
+      expect_rejected(ParseNodesFile(dir_ + "/num.nodes", 1e-6, &nodes_nl),
+                      "num.nodes:4", v);
+    }
+
+    for (const std::string& pin : {"b I : " + v + " 0", "b I : 0 " + v}) {
+      WriteFile("num.nodes", "a 1 1\nb 1 1\n");
+      WriteFile("num.nets", "NetDegree : 2 n\na O : 0 0\n" + pin + "\n");
+      netlist::Netlist nets_nl;
+      ASSERT_TRUE(ParseNodesFile(dir_ + "/num.nodes", 1e-6, &nets_nl).ok());
+      const util::Status s = ParseNetsFile(dir_ + "/num.nets", 1e-6, &nets_nl);
+      if (valid_signed) {
+        EXPECT_TRUE(s.ok()) << s.ToString();
+      } else {
+        expect_rejected(s, "num.nets:3", v);
+      }
+    }
+
+    for (const std::string& place : {"a " + v + " 2 : N 0",
+                                     "a 1 " + v + " : N 0"}) {
+      WriteFile("num.pl", "UCLA pl 1.0\n" + place + "\n");
+      const util::Status s =
+          ParsePlFile(dir_ + "/num.pl", 1e-6, nl, &x, &y, &layer);
+      if (valid_signed) {
+        EXPECT_TRUE(s.ok()) << s.ToString();
+      } else {
+        expect_rejected(s, "num.pl:2", v);
+      }
+    }
+
+    for (const char* field : {"Coordinate", "Height", "Sitewidth",
+                              "SubrowOrigin", "NumSites"}) {
+      const std::string name = field;
+      const std::string entry =
+          name == "NumSites" ? "SubrowOrigin : 0 NumSites : " + v
+                             : name + " : " + v;
+      WriteFile("num.scl", "CoreRow Horizontal\n  " + entry + "\nEnd\n");
+      std::vector<BookshelfRow> scl_rows;
+      const util::Status s = ParseSclFile(dir_ + "/num.scl", &scl_rows);
+      if (valid_signed && (name == "Coordinate" || name == "SubrowOrigin")) {
+        EXPECT_TRUE(s.ok()) << s.ToString();
+      } else {
+        expect_rejected(s, "num.scl:2", v);
+      }
+    }
+  }
 }
 
 TEST_F(BookshelfTest, FullDesignExportRoundTrip) {

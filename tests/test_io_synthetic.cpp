@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "io/synthetic.h"
@@ -34,6 +35,13 @@ TEST(Table1, LookupByName) {
   const SyntheticSpec s = Table1Spec("ibm07", 1.0);
   EXPECT_EQ(s.num_cells, 45135);
   EXPECT_THROW(Table1Spec("ibm99", 1.0), std::invalid_argument);
+}
+
+TEST(Table1, RejectsNonPositiveNonFiniteOrHugeScale) {
+  for (const double scale : {0.0, -1.0, std::nan(""), HUGE_VAL, 1e12}) {
+    EXPECT_THROW(Table1Spec("ibm01", scale), std::invalid_argument) << scale;
+    EXPECT_THROW(Table1Specs(scale), std::invalid_argument) << scale;
+  }
 }
 
 TEST(Table1, DistinctSeedsPerCircuit) {

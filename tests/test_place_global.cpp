@@ -44,7 +44,7 @@ struct Fixture {
   /// Runs whichever backend `params.global_backend` selects via the factory.
   Placement RunBackend() {
     ObjectiveEvaluator eval(nl, chip, params);
-    auto backend = MakeGlobalPlacerBackend(eval);
+    auto backend = MakeGlobalPlacerBackend(params.global_backend, eval);
     EXPECT_TRUE(backend.ok()) << backend.status().ToString();
     Placement init;
     init.Resize(static_cast<std::size_t>(nl.NumCells()));
@@ -263,23 +263,6 @@ bool BytesEqual(const Placement& a, const Placement& b) {
          std::memcmp(a.y.data(), b.y.data(), a.size() * sizeof(double)) == 0 &&
          std::memcmp(a.layer.data(), b.layer.data(),
                      a.size() * sizeof(int)) == 0;
-}
-
-TEST(GlobalBackendFactory, ParsesKnownNames) {
-  const auto bis = ParseGlobalBackend("bisection");
-  ASSERT_TRUE(bis.ok());
-  EXPECT_EQ(*bis, GlobalBackend::kBisection);
-  EXPECT_STREQ(GlobalBackendName(GlobalBackend::kBisection), "bisection");
-  // The analytic backend was removed; its old name is now an unknown name.
-  const auto ana = ParseGlobalBackend("analytic");
-  ASSERT_FALSE(ana.ok());
-  EXPECT_EQ(ana.status().code(), util::StatusCode::kInvalidArgument);
-}
-
-TEST(GlobalBackendFactory, UnknownNameIsInvalidArgument) {
-  const auto r = ParseGlobalBackend("simulated-annealing");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(GlobalBackendFactory, OutOfRangeEnumIsInvalidArgument) {

@@ -311,7 +311,7 @@ TEST(Legalize, ThreadCountDoesNotChangePlacementBytes) {
   LegalizeStats ref_stats;
   for (const int threads : {1, 3, 4}) {
     Fixture f(700);
-    f.params.legalize_threads = threads;
+    f.params.threads = threads;
     f.params.legalize_window_rows = 4;
     ObjectiveEvaluator eval(f.nl, f.chip, f.params);
     eval.SetPlacement(f.RandomSpread(9));
@@ -340,7 +340,7 @@ TEST(Legalize, OversizedWindowMatchesSerialSchedule) {
   Placement reference;
   for (const int window_rows : {1 << 20, 8}) {
     Fixture f(400);
-    f.params.legalize_threads = 2;
+    f.params.threads = 2;
     f.params.legalize_window_rows = window_rows;
     ObjectiveEvaluator eval(f.nl, f.chip, f.params);
     eval.SetPlacement(f.RandomSpread(12));
@@ -360,7 +360,7 @@ TEST(Legalize, ParallelRunReplaysUnderParanoidAudit) {
   // delta must match a freshly computed one and the final placement must
   // reproduce bitwise.
   Fixture f(400);
-  f.params.legalize_threads = 4;
+  f.params.threads = 4;
   f.params.legalize_window_rows = 4;
   ObjectiveEvaluator eval(f.nl, f.chip, f.params);
   check::MoveLog log;

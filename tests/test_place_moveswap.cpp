@@ -143,12 +143,12 @@ INSTANTIATE_TEST_SUITE_P(RegionSizes, MoveSwapTargetRegion,
 
 TEST(MoveSwap, ThreadCountDoesNotChangePlacementBytes) {
   // The determinism contract of the windowed propose/commit schedule: the
-  // exact same pass sequence at 1, 3, and 4 legalization threads must land
+  // exact same pass sequence at 1, 3, and 4 threads must land
   // on the thread=1 placement to the byte.
   Placement reference;
   for (const int threads : {1, 3, 4}) {
     Fixture f(600);
-    f.params.legalize_threads = threads;
+    f.params.threads = threads;
     ObjectiveEvaluator eval(f.nl, f.chip, f.params);
     util::Rng rng(99);
     Placement p;

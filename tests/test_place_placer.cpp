@@ -46,6 +46,25 @@ TEST(Placer3D, FullFlowProducesLegalPlacement) {
   EXPECT_GT(r.t_total, 0.0);
 }
 
+TEST(Placer3D, CreateRejectsOutOfRangeLayersAndThreads) {
+  // Only the rejection is checked: no placement runs at these values.
+  const netlist::Netlist nl = Circuit(60);
+  PlacerParams p = Params(kMaxLayers + 1);
+  auto too_many_layers = Placer3D::Create(nl, p);
+  ASSERT_FALSE(too_many_layers.ok());
+  EXPECT_EQ(too_many_layers.status().code(),
+            util::StatusCode::kInvalidArgument);
+  p.num_layers = 100000;
+  EXPECT_FALSE(Placer3D::Create(nl, p).ok());
+  for (const int threads : {-3, kMaxThreads + 1, 100000}) {
+    p = Params(4);
+    p.threads = threads;
+    const auto r = Placer3D::Create(nl, p);
+    ASSERT_FALSE(r.ok()) << threads;
+    EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(Placer3D, MetricsConsistentWithEvaluate) {
   util::ScopedLogLevel quiet(util::LogLevel::kWarn);
   const netlist::Netlist nl = Circuit(400);

@@ -88,13 +88,11 @@ TEST(ScaleTier, LiteFullFlowByteIdenticalAcrossThreadsUnderAudit) {
   params.partition_starts = 2;
   params.seed = 1801;
   params.threads = 1;
-  params.legalize_threads = 1;
   place::Placer3D p1(nl, params);
   const place::PlacementResult r1 = *p1.Run({.with_fea = false});
   EXPECT_TRUE(r1.legal);
 
   params.threads = 2;
-  params.legalize_threads = 2;
   params.audit_level = place::AuditLevel::kParanoid;
   place::Placer3D p2(nl, params);
   check::PlacementAuditor auditor(nl, params.audit_level);

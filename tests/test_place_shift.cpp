@@ -243,7 +243,7 @@ TEST(CellShifter, ThreadCountDoesNotChangePlacementBytes) {
   Placement reference;
   for (const int threads : {1, 4}) {
     Fixture f(700);
-    f.params.legalize_threads = threads;
+    f.params.threads = threads;
     ObjectiveEvaluator eval(f.nl, f.chip, f.params);
     util::Rng rng(77);
     Placement p;

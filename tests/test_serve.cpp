@@ -381,8 +381,7 @@ TEST(JobsManifest, ParsesJobsWithDefaultsAndDerivedSeeds) {
     "jobs": [
       {"name": "a", "alpha_ilv": 5e-9},
       {"alpha_ilv": 1e-5, "priority": 2, "seed": 7},
-      {"name": "c", "circuit": "ibm02", "scale": 0.01, "layers": 2,
-       "global_backend": "bisection"}
+      {"name": "c", "circuit": "ibm02", "scale": 0.01, "layers": 2}
     ]
   })";
   auto m = ParseJobsManifest(text);
@@ -398,10 +397,6 @@ TEST(JobsManifest, ParsesJobsWithDefaultsAndDerivedSeeds) {
   EXPECT_EQ(m->jobs[1].name, "ibm01-job2");  // generated name
   EXPECT_EQ(m->jobs[1].priority, 2);
   EXPECT_EQ(m->jobs[1].params.seed, 7u);  // explicit seed wins
-
-  // Backend defaults to bisection; an explicit per-job backend parses.
-  EXPECT_EQ(m->jobs[0].params.global_backend, place::GlobalBackend::kBisection);
-  EXPECT_EQ(m->jobs[2].params.global_backend, place::GlobalBackend::kBisection);
 
   EXPECT_EQ(m->jobs[2].params.num_layers, 2);
   // Netlists dedupe by (circuit, scale): ibm01 shared, ibm02 separate.
@@ -431,23 +426,54 @@ TEST(JobsManifest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseJobsManifest(R"({"schema": "placer3d.jobs", "version": 1,
       "jobs": [{"circuit": "ibm01", "scale": "wide"}]})")
                    .ok());
-  // Unknown global backend name is a manifest error.
-  EXPECT_FALSE(ParseJobsManifest(R"({"schema": "placer3d.jobs", "version": 1,
+  // Keys outside the documented field list fail with kParseError naming
+  // the job index (or "defaults") and the key: misspellings, and the
+  // removed global_backend / fea_precond fields.
+  const auto rejects = [](const std::string& text, const std::string& where,
+                          const std::string& key) {
+    const auto m = ParseJobsManifest(text);
+    ASSERT_FALSE(m.ok()) << text;
+    EXPECT_EQ(m.status().code(), util::StatusCode::kParseError) << text;
+    EXPECT_NE(m.status().message().find(where), std::string::npos)
+        << m.status().message();
+    EXPECT_NE(m.status().message().find("'" + key + "'"), std::string::npos)
+        << m.status().message();
+  };
+  rejects(R"({"schema": "placer3d.jobs", "version": 1,
+      "jobs": [{"scale": 0.01}, {"scale": 0.01, "alpha_tmp": 4e-5}]})",
+          "job 1", "alpha_tmp");
+  rejects(R"({"schema": "placer3d.jobs", "version": 1,
+      "defaults": {"layer": 2}, "jobs": [{"scale": 0.01}]})",
+          "defaults", "layer");
+  rejects(R"({"schema": "placer3d.jobs", "version": 1,
+      "defualts": {"layers": 2}, "jobs": [{"scale": 0.01}]})",
+          "jobs manifest", "defualts");
+  rejects(R"({"schema": "placer3d.jobs", "version": 1,
       "jobs": [{"circuit": "ibm01", "scale": 0.01,
-                "global_backend": "simulated-annealing"}]})")
+                "global_backend": "analytic"}]})",
+          "job 0", "global_backend");
+  rejects(R"({"schema": "placer3d.jobs", "version": 1,
+      "jobs": [{"circuit": "ibm01", "scale": 0.01,
+                "global_backend": "bisection"}]})",
+          "job 0", "global_backend");
+  rejects(R"({"schema": "placer3d.jobs", "version": 1,
+      "jobs": [{"circuit": "ibm01", "scale": 0.01,
+                "fea_precond": "ic0"}]})",
+          "job 0", "fea_precond");
+  // Integer fields are range-checked before any cast to int.
+  for (const char* bad : {R"("layers": 1e12)", R"("layers": 0)",
+                          R"("layers": 2.5)", R"("threads": -1)",
+                          R"("threads": 1e9)", R"("priority": 1e12)",
+                          R"("seed": -1)", R"("seed": 1.5)"}) {
+    const auto m = ParseJobsManifest(
+        std::string(R"({"schema": "placer3d.jobs", "version": 1,
+            "jobs": [{"scale": 0.01, )") + bad + "}]}");
+    ASSERT_FALSE(m.ok()) << bad;
+    EXPECT_EQ(m.status().code(), util::StatusCode::kParseError) << bad;
+  }
+  EXPECT_FALSE(ParseJobsManifest(R"({"schema": "placer3d.jobs", "version": 1,
+      "seed": -3, "jobs": [{"scale": 0.01}]})")
                    .ok());
-  // The removed analytic backend is rejected with a clean status.
-  const auto analytic = ParseJobsManifest(R"({"schema": "placer3d.jobs",
-      "version": 1, "jobs": [{"circuit": "ibm01", "scale": 0.01,
-                              "global_backend": "analytic"}]})");
-  ASSERT_FALSE(analytic.ok());
-  EXPECT_EQ(analytic.status().code(), util::StatusCode::kInvalidArgument);
-  // "multigrid" is not a preconditioner: it fails like any unknown name.
-  const auto multigrid = ParseJobsManifest(R"({"schema": "placer3d.jobs",
-      "version": 1, "jobs": [{"circuit": "ibm01", "scale": 0.01,
-                              "fea_precond": "multigrid"}]})");
-  ASSERT_FALSE(multigrid.ok());
-  EXPECT_EQ(multigrid.status().code(), util::StatusCode::kParseError);
   EXPECT_FALSE(LoadJobsManifest("/nonexistent/manifest.json").ok());
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "util/log.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -291,6 +292,25 @@ TEST(StatusOr, RvalueDerefMovesOut) {
   };
   const std::vector<int> got = *factory();
   EXPECT_EQ(got, (std::vector<int>{7, 8}));
+}
+
+TEST(Parse, FiniteDoubleAcceptsOnlyWholeFiniteNumbers) {
+  EXPECT_EQ(ParseFiniteDouble("1e-5"), 1e-5);
+  EXPECT_EQ(ParseFiniteDouble("-3"), -3.0);
+  EXPECT_EQ(ParseFiniteDouble(".5"), 0.5);
+  for (const char* bad : {"", "abc", "nan", "inf", "-inf", "1e999", "12x",
+                          " 1", "1 ", "0x10"}) {
+    EXPECT_FALSE(ParseFiniteDouble(bad).has_value()) << bad;
+  }
+}
+
+TEST(Parse, IntegerChecksWholeTokenAndRange) {
+  EXPECT_EQ(ParseInteger("42", 0, 100), 42);
+  EXPECT_EQ(ParseInteger("-3", -5, 5), -3);
+  for (const char* bad : {"", "abc", "1.5", "1e3", "-3", "101", "7x",
+                          "99999999999999999999"}) {
+    EXPECT_FALSE(ParseInteger(bad, 0, 100).has_value()) << bad;
+  }
 }
 
 }  // namespace

@@ -20,13 +20,12 @@
 //                         every S seconds (off when omitted)
 //     --blackbox PATH     flight-recorder dump file for audit violations,
 //                         stalls, cancellations, and fatal signals
-//     --global-backend NAME  override the global-placement backend of every
-//                         job in the manifest (bisection)
 //     --quiet             errors only
 //
-// Every --flag also accepts the --flag=value spelling. Progress (per-job
-// completion and heartbeat lines) streams to stderr; stdout carries only
-// the batch summary, so piping it stays clean.
+// Every --flag also accepts the --flag=value spelling. Numeric values must
+// be whole, finite numbers in range; a malformed value exits 2. Progress
+// (per-job completion and heartbeat lines) streams to stderr; stdout
+// carries only the batch summary, so piping it stays clean.
 //
 // Exit codes: 0 all jobs placed, 1 runtime error or any job failed,
 // 2 usage error, 4 jobs cancelled (deadline misses) but none failed.
@@ -39,8 +38,9 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "flag_values.h"
 #include "obs/ring.h"
-#include "place/global_backend.h"
+#include "place/params.h"
 #include "serve/batch.h"
 #include "serve/job_engine.h"
 #include "serve/manifest.h"
@@ -50,6 +50,9 @@
 #include "util/timer.h"
 
 namespace {
+
+using p3d::tools::DoubleFlag;
+using p3d::tools::IntFlag;
 
 struct Args {
   std::string manifest;
@@ -61,9 +64,6 @@ struct Args {
   double stall_timeout_s = 0.0;   // 0: no watchdog
   double heartbeat_interval_s = 0.0;  // 0: no heartbeat stream
   bool quiet = false;
-  bool override_backend = false;  // --global-backend given
-  p3d::place::GlobalBackend global_backend =
-      p3d::place::GlobalBackend::kBisection;
 };
 
 void PrintUsage() {
@@ -71,8 +71,7 @@ void PrintUsage() {
       "usage: placed --manifest jobs.json [--workers N] [--thread-budget N]\n"
       "              [--report batch_report.json] [--telemetry-port N]\n"
       "              [--stall-timeout S] [--heartbeat-interval S]\n"
-      "              [--blackbox trace.json] [--global-backend NAME]\n"
-      "              [--quiet]");
+      "              [--blackbox trace.json] [--quiet]");
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
@@ -109,38 +108,37 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->report = v;
     } else if (a == "--workers") {
       const char* v = next("--workers");
-      if (!v) return false;
-      args->workers = std::atoi(v);
+      if (!v || !IntFlag("--workers", v, 1, p3d::place::kMaxThreads,
+                         &args->workers)) {
+        return false;
+      }
     } else if (a == "--thread-budget") {
       const char* v = next("--thread-budget");
-      if (!v) return false;
-      args->thread_budget = std::atoi(v);
+      if (!v || !IntFlag("--thread-budget", v, 0, p3d::place::kMaxThreads,
+                         &args->thread_budget)) {
+        return false;
+      }
     } else if (a == "--telemetry-port") {
       const char* v = next("--telemetry-port");
-      if (!v) return false;
-      args->telemetry_port = std::atoi(v);
+      if (!v || !IntFlag("--telemetry-port", v, 0, 65535,
+                         &args->telemetry_port)) {
+        return false;
+      }
     } else if (a == "--stall-timeout") {
       const char* v = next("--stall-timeout");
-      if (!v) return false;
-      args->stall_timeout_s = std::atof(v);
+      if (!v || !DoubleFlag("--stall-timeout", v, &args->stall_timeout_s)) {
+        return false;
+      }
     } else if (a == "--heartbeat-interval") {
       const char* v = next("--heartbeat-interval");
-      if (!v) return false;
-      args->heartbeat_interval_s = std::atof(v);
+      if (!v || !DoubleFlag("--heartbeat-interval", v,
+                            &args->heartbeat_interval_s)) {
+        return false;
+      }
     } else if (a == "--blackbox") {
       const char* v = next("--blackbox");
       if (!v) return false;
       args->blackbox = v;
-    } else if (a == "--global-backend") {
-      const char* v = next("--global-backend");
-      if (!v) return false;
-      const auto backend = p3d::place::ParseGlobalBackend(v);
-      if (!backend.ok()) {
-        std::fprintf(stderr, "%s\n", backend.status().message().c_str());
-        return false;
-      }
-      args->override_backend = true;
-      args->global_backend = *backend;
     } else if (a == "--quiet") {
       args->quiet = true;
     } else {
@@ -152,10 +150,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   if (args->manifest.empty()) {
     std::fprintf(stderr, "--manifest is required\n");
     PrintUsage();
-    return false;
-  }
-  if (args->workers < 1) {
-    std::fprintf(stderr, "--workers must be >= 1\n");
     return false;
   }
   return true;
@@ -199,11 +193,6 @@ int main(int argc, char** argv) {
   if (manifest.jobs.empty()) {
     std::fprintf(stderr, "manifest has no jobs\n");
     return 2;
-  }
-  if (args.override_backend) {
-    for (p3d::serve::JobSpec& spec : manifest.jobs) {
-      spec.params.global_backend = args.global_backend;
-    }
   }
 
   p3d::serve::JobEngineOptions engine_opts;

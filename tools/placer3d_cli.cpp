@@ -12,16 +12,9 @@
 //     --layers N              active layers (default 4)
 //     --alpha-ilv V           interlayer via coefficient (default 1e-5)
 //     --alpha-temp V          thermal coefficient (default 0)
-//     --global-backend NAME   global-placement engine: bisection (paper
-//                             Section 3 recursive bisection, the default
-//                             and only engine)
 //     --seed N                placer seed
 //     --threads N             worker threads (0 = all hardware threads);
 //                             results are identical for any thread count
-//     --legalize-threads N    worker threads for the windowed coarse
-//                             legalization schedule (0 = inherit --threads)
-//     --legalize-window N     coarse-legalization window edge, in bins
-//                             (default 8, min 2)
 //     --out-pl PATH           write extended .pl
 //     --export-bookshelf DIR  write the circuit + placement as a complete
 //                             Bookshelf design (aux/nodes/nets/pl/scl)
@@ -43,17 +36,20 @@
 //     --fea-per-pass          re-solve thermal FEA after every legalization
 //                             pass (observational; cheap with the
 //                             default cached, warm-started IC(0))
-//     --fea-precond NAME      FEA preconditioner: jacobi|ic0 (default ic0)
 //     --quiet                 errors only
 //
-// Every --flag also accepts the --flag=value spelling.
+// Every --flag also accepts the --flag=value spelling. Numeric values must
+// be whole, finite numbers; a malformed value or an unknown flag exits 2.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "check/audit.h"
+#include "flag_values.h"
 #include "io/bookshelf.h"
 #include "io/svg.h"
 #include "io/synthetic.h"
@@ -61,7 +57,6 @@
 #include "obs/report.h"
 #include "obs/ring.h"
 #include "obs/trace.h"
-#include "place/global_backend.h"
 #include "place/instrument.h"
 #include "place/monitor.h"
 #include "place/placer.h"
@@ -73,6 +68,9 @@
 
 namespace {
 
+using p3d::tools::DoubleFlag;
+using p3d::tools::IntFlag;
+
 struct Args {
   std::string circuit = "ibm01";
   std::string aux;
@@ -80,12 +78,8 @@ struct Args {
   int layers = 4;
   double alpha_ilv = 1e-5;
   double alpha_temp = 0.0;
-  p3d::place::GlobalBackend global_backend =
-      p3d::place::GlobalBackend::kBisection;
   std::uint64_t seed = 12345;
   int threads = 1;
-  int legalize_threads = 0;
-  int legalize_window = 8;
   std::string out_pl;
   std::string export_dir;
   std::string out_svg;
@@ -96,8 +90,6 @@ struct Args {
   bool report = false;
   bool fea = true;
   bool fea_per_pass = false;
-  p3d::linalg::PreconditionerKind fea_precond =
-      p3d::linalg::PreconditionerKind::kIc0;
   bool quiet = false;
   p3d::place::AuditLevel audit = p3d::place::AuditLevel::kOff;
 };
@@ -106,11 +98,10 @@ void PrintUsage() {
   std::puts(
       "usage: placer3d_cli [--circuit ibmXX | --aux design.aux] [--scale S]\n"
       "                    [--layers N] [--alpha-ilv V] [--alpha-temp V]\n"
-      "                    [--global-backend bisection]\n"
-      "                    [--seed N] [--threads N] [--legalize-threads N]\n"
-      "                    [--legalize-window N] [--out-pl F] [--out-svg F]\n"
-      "                    [--out-thermal-svg F] [--report] [--no-fea]\n"
-      "                    [--fea-per-pass] [--fea-precond jacobi|ic0]\n"
+      "                    [--seed N] [--threads N] [--out-pl F]\n"
+      "                    [--out-svg F] [--out-thermal-svg F] [--report]\n"
+      "                    [--no-fea] [--fea-per-pass]\n"
+      "                    [--export-bookshelf DIR]\n"
       "                    [--trace F] [--metrics F] [--blackbox F]\n"
       "                    [--audit off|phase|paranoid] [--quiet]");
 }
@@ -150,45 +141,33 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->aux = v;
     } else if (a == "--scale") {
       const char* v = next("--scale");
-      if (!v) return false;
-      args->scale = std::atof(v);
+      if (!v || !DoubleFlag("--scale", v, &args->scale)) return false;
     } else if (a == "--layers") {
       const char* v = next("--layers");
-      if (!v) return false;
-      args->layers = std::atoi(v);
-    } else if (a == "--alpha-ilv") {
-      const char* v = next("--alpha-ilv");
-      if (!v) return false;
-      args->alpha_ilv = std::atof(v);
-    } else if (a == "--alpha-temp") {
-      const char* v = next("--alpha-temp");
-      if (!v) return false;
-      args->alpha_temp = std::atof(v);
-    } else if (a == "--global-backend") {
-      const char* v = next("--global-backend");
-      if (!v) return false;
-      const auto backend = p3d::place::ParseGlobalBackend(v);
-      if (!backend.ok()) {
-        std::fprintf(stderr, "%s\n", backend.status().ToString().c_str());
+      if (!v || !IntFlag("--layers", v, 1, p3d::place::kMaxLayers,
+                         &args->layers)) {
         return false;
       }
-      args->global_backend = *backend;
+    } else if (a == "--alpha-ilv") {
+      const char* v = next("--alpha-ilv");
+      if (!v || !DoubleFlag("--alpha-ilv", v, &args->alpha_ilv)) return false;
+    } else if (a == "--alpha-temp") {
+      const char* v = next("--alpha-temp");
+      if (!v || !DoubleFlag("--alpha-temp", v, &args->alpha_temp)) {
+        return false;
+      }
     } else if (a == "--seed") {
       const char* v = next("--seed");
-      if (!v) return false;
-      args->seed = static_cast<std::uint64_t>(std::atoll(v));
+      if (!v || !IntFlag("--seed", v, 0, std::numeric_limits<long long>::max(),
+                         &args->seed)) {
+        return false;
+      }
     } else if (a == "--threads") {
       const char* v = next("--threads");
-      if (!v) return false;
-      args->threads = std::atoi(v);
-    } else if (a == "--legalize-threads") {
-      const char* v = next("--legalize-threads");
-      if (!v) return false;
-      args->legalize_threads = std::atoi(v);
-    } else if (a == "--legalize-window") {
-      const char* v = next("--legalize-window");
-      if (!v) return false;
-      args->legalize_window = std::atoi(v);
+      if (!v || !IntFlag("--threads", v, 0, p3d::place::kMaxThreads,
+                         &args->threads)) {
+        return false;
+      }
     } else if (a == "--export-bookshelf") {
       const char* v = next("--export-bookshelf");
       if (!v) return false;
@@ -237,18 +216,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->fea = false;
     } else if (a == "--fea-per-pass") {
       args->fea_per_pass = true;
-    } else if (a == "--fea-precond") {
-      const char* v = next("--fea-precond");
-      if (!v) return false;
-      const std::string kind = v;
-      if (kind == "jacobi") {
-        args->fea_precond = p3d::linalg::PreconditionerKind::kJacobi;
-      } else if (kind == "ic0") {
-        args->fea_precond = p3d::linalg::PreconditionerKind::kIc0;
-      } else {
-        std::fprintf(stderr, "bad --fea-precond kind: %s\n", v);
-        return false;
-      }
     } else if (a == "--quiet") {
       args->quiet = true;
     } else {
@@ -285,6 +252,9 @@ int main(int argc, char** argv) {
   } else {
     try {
       netlist = p3d::io::Generate(p3d::io::Table1Spec(args.circuit, args.scale));
+    } catch (const std::invalid_argument& e) {  // unknown circuit, bad scale
+      std::fprintf(stderr, "%s\n", e.what());
+      return 2;
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s\n", e.what());
       return 1;
@@ -298,11 +268,8 @@ int main(int argc, char** argv) {
   params.num_layers = args.layers;
   params.alpha_ilv = args.alpha_ilv;
   params.alpha_temp = args.alpha_temp;
-  params.global_backend = args.global_backend;
   params.seed = args.seed;
   params.threads = args.threads;
-  params.legalize_threads = args.legalize_threads;
-  params.legalize_window_bins = args.legalize_window;
   params.fea_per_pass = args.fea_per_pass;
   params.audit_level = args.audit;
   if (args.aux.empty()) {
@@ -354,7 +321,6 @@ int main(int argc, char** argv) {
 
   p3d::place::RunOptions run_opts;
   run_opts.with_fea = args.fea || !args.out_thermal_svg.empty();
-  run_opts.preconditioner = args.fea_precond;
   p3d::util::StatusOr<p3d::place::PlacementResult> result_or =
       placer.Run(run_opts);
   if (!result_or.ok()) {
@@ -385,8 +351,6 @@ int main(int argc, char** argv) {
     report.params.emplace_back("alpha_temp", args.alpha_temp);
     report.params.emplace_back("seed", args.seed);
     report.params.emplace_back("threads", args.threads);
-    report.params.emplace_back("legalize_threads", args.legalize_threads);
-    report.params.emplace_back("legalize_window", args.legalize_window);
     report.params.emplace_back("fea_per_pass", args.fea_per_pass);
     report.phases = sampler.samples();
     report.qor.emplace_back("hpwl_m", r.hpwl_m);
